@@ -10,16 +10,15 @@ on the way in and out.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import arrangement as arrg
 from . import permstat
-
-ORDER_A = int(os.environ.get("ZONALG_SERIES_ORDER_A", "8"))
-ORDER_B = int(os.environ.get("ZONALG_SERIES_ORDER_B", "6"))
 
 CONVENTIONS = ("ordinary", "egf", "bgf")
 
@@ -36,10 +35,6 @@ class RatPoly:
     @classmethod
     def of(cls, *coeffs):
         return cls(_trim(tuple(Fraction(c) for c in coeffs)))
-
-    @classmethod
-    def const(cls, c):
-        return cls.of(c)
 
     @classmethod
     def z(cls):
@@ -334,24 +329,6 @@ class TruncSeries:
             f *= c
         return TruncSeries(self.order, tuple(out), self.convention)
 
-    def specialize_z(self, value):
-        """Evaluate every coefficient polynomial at z = value."""
-        return TruncSeries(
-            self.order,
-            tuple(RatPoly.of(c(Fraction(value))) for c in self.coeffs),
-            self.convention,
-        )
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(order, self.coeffs[: order + 1], self.convention)
-
-
-def convention_convert(series, convention):
-    """Same underlying series, different default read convention (exact)."""
-    return series.with_convention(convention)
-
 
 # ---------------------------------------------------------------------------
 # closed-form generating functions
@@ -387,96 +364,104 @@ def _record(name, order, ok, mismatch=None):
     return {"identity": name, "order": order, "ok": bool(ok), "first_mismatch": mismatch}
 
 
+def _poly_of_counts(counts):
+    """The polynomial sum_e counts[e] z^e."""
+    coeffs = [Fraction(0)] * (max(counts, default=0) + 1)
+    for e, c in counts.items():
+        coeffs[e] = Fraction(c)
+    return RatPoly(_trim(tuple(coeffs)))
+
+
 def _cyclic_excedance_poly(d):
     """sum over cyclic permutations of [d] of z^exc, by direct enumeration."""
     total = {}
-    import itertools
-
     for rest in itertools.permutations(range(2, d + 1)):
         cyc = (1,) + rest
         sigma = permstat.Permutation.from_cycles(d, [cyc])
         e = sigma.exc()
         total[e] = total.get(e, 0) + 1
-    coeffs = [Fraction(0)] * (max(total, default=0) + 1)
-    for e, c in total.items():
-        coeffs[e] = Fraction(c)
-    return RatPoly(_trim(tuple(coeffs)))
+    return _poly_of_counts(total)
 
 
-from functools import lru_cache
+@lru_cache(maxsize=None)
+def _perm_stats(d):
+    """((#blocks of supp, exc), count) over S_d, from one enumeration."""
+    tally = Counter((len(s.supp().data), s.exc()) for s in permstat.symmetric_group(d))
+    return tuple(sorted(tally.items()))
 
 
 @lru_cache(maxsize=None)
 def _signed_stats(d):
-    """(dim of support, exc_B) for every element of B_d."""
-    return tuple((s.supp().dim, s.exc_b()) for s in permstat.hyperoctahedral_group(d))
+    """((dim of supp, exc_B), count) over B_d, from one enumeration."""
+    tally = Counter((s.supp().dim, s.exc_b()) for s in permstat.hyperoctahedral_group(d))
+    return tuple(sorted(tally.items()))
 
 
-@lru_cache(maxsize=None)
+def _tally_poly(tally, t):
+    """sum over a tally of count * t^k z^e, at an integer or rational t."""
+    by_exc = {}
+    for (k, e), c in tally:
+        by_exc[e] = by_exc.get(e, 0) + c * t ** k
+    return _poly_of_counts(by_exc)
+
+
 def _signed_central_poly(d):
     """sum over signed permutations with support = bottom of z^{exc_B}."""
-    total = {}
-    for dim, e in _signed_stats(d):
-        if dim == 0:
-            total[e] = total.get(e, 0) + 1
-    coeffs = [Fraction(0)] * (max(total, default=0) + 1)
-    for e, c in total.items():
-        coeffs[e] = Fraction(c)
-    return RatPoly(_trim(tuple(coeffs)))
-
-
-def _partition_mobius_sum_A(d):
-    """sum over set partitions X of [d] of mu(bot, X) * prod A_{|S|}(z)."""
-    arr = arrg.braid(d)
-    bot = arrg.bottom_flat(arr)
-    acc = _P_ZERO
-    for x in arrg.flats(arr):
-        term = RatPoly.of(arrg.mobius(bot, x))
-        for block in x.data:
-            term = term * eulerian_A(len(block))
-        acc = acc + term
-    return acc
-
-
-def _partition_mobius_sum_B(d):
-    """sum over signed partitions of mu(bot, X) * B_{|S0|/2} * prod A_{|S_i|}."""
-    arr = arrg.type_b(d)
-    bot = arrg.bottom_flat(arr)
-    acc = _P_ZERO
-    for x in arrg.flats(arr):
-        zero, blocks = x.data
-        term = RatPoly.of(arrg.mobius(bot, x)) * eulerian_B(len(zero) // 2)
-        seen = set()
-        for b in blocks:
-            if b in seen:
-                continue
-            seen.add(b)
-            seen.add(frozenset(-e for e in b))
-            term = term * eulerian_A(len(b))
-        acc = acc + term
-    return acc
+    return _poly_of_counts({e: c for (k, e), c in _signed_stats(d) if k == 0})
 
 
 def _bivariate_A(d, t):
     """sum over S_d of t^{#blocks of supp} z^{exc}, at an integer t."""
-    acc = _P_ZERO
-    for s in permstat.symmetric_group(d):
-        k = len(s.supp().data)
-        coeffs = [Fraction(0)] * (s.exc() + 1)
-        coeffs[s.exc()] = Fraction(t) ** k
-        acc = acc + RatPoly(_trim(tuple(coeffs)))
-    return acc
+    return _tally_poly(_perm_stats(d), t)
 
 
 def _bivariate_B(d, t):
     """sum over B_d of t^{dim supp} z^{exc_B}, at a rational t."""
-    by_exc = {}
-    for k, e in _signed_stats(d):
-        by_exc[e] = by_exc.get(e, Fraction(0)) + Fraction(t) ** k
-    coeffs = [Fraction(0)] * (max(by_exc, default=0) + 1)
-    for e, v in by_exc.items():
-        coeffs[e] = v
-    return RatPoly(_trim(tuple(coeffs)))
+    return _tally_poly(_signed_stats(d), t)
+
+
+def _pair_representatives(blocks):
+    """One block of each ± pair of a signed flat's nonzero blocks: the one
+    whose element of least absolute value is positive."""
+    return [b for b in blocks if min(b, key=abs) > 0]
+
+
+def _mobius_sum_by_type(arr, block_type, product):
+    """sum over the flats X of arr of mu(bot, X) * product(block_type(X)).
+
+    Every flat contributes its own Möbius value; the integer weights are
+    added up per block type, and ``product`` is evaluated once per type.
+    """
+    bot = arrg.bottom_flat(arr)
+    weights = Counter()
+    for x in arrg.flats(arr):
+        weights[block_type(x)] += arrg.mobius(bot, x)
+    acc = _P_ZERO
+    for key, w in weights.items():
+        if w:
+            acc = acc + product(key).scale(w)
+    return acc
+
+
+def _partition_mobius_sum_A(d):
+    """sum over set partitions X of [d] of mu(bot, X) * prod A_{|S|}(z)."""
+    return _mobius_sum_by_type(
+        arrg.braid(d),
+        lambda x: tuple(sorted(len(b) for b in x.data)),
+        lambda sizes: math.prod(map(eulerian_A, sizes), start=_P_ONE),
+    )
+
+
+def _partition_mobius_sum_B(d):
+    """sum over signed partitions of mu(bot, X) * B_{|S0|/2} * prod A_{|S_i|}."""
+    return _mobius_sum_by_type(
+        arrg.type_b(d),
+        lambda x: (
+            len(x.data[0]) // 2,
+            tuple(sorted(len(b) for b in _pair_representatives(x.data[1]))),
+        ),
+        lambda key: math.prod(map(eulerian_A, key[1]), start=eulerian_B(key[0])),
+    )
 
 
 def verify_identities(order_a=None, order_b=None):
@@ -487,8 +472,10 @@ def verify_identities(order_a=None, order_b=None):
     free exponent t are checked at enough integer values to pin down the
     coefficient polynomials in t.
     """
-    order_a = ORDER_A if order_a is None else order_a
-    order_b = ORDER_B if order_b is None else order_b
+    if order_a is None:
+        order_a = permstat.env_int("ZONALG_SERIES_ORDER_A", 8)
+    if order_b is None:
+        order_b = permstat.env_int("ZONALG_SERIES_ORDER_B", 6)
     report = []
 
     A = eulerian_gf_A(order_a)
@@ -630,12 +617,7 @@ def _check_compositional_b(order):
                 zero, blocks = x.data
                 k = len(blocks) // 2
                 term = fc(len(zero) // 2) * gc(k)
-                seen = set()
-                for b in blocks:
-                    if b in seen:
-                        continue
-                    seen.add(b)
-                    seen.add(frozenset(-e for e in b))
+                for b in _pair_representatives(blocks):
                     term *= ac(len(b))
                 lhs += term
             got = rhs.coeff(d, "bgf")
@@ -672,12 +654,7 @@ def _check_exponential_b(order):
         for x in arrg.flats(arr):
             zero, blocks = x.data
             term = fc(len(zero) // 2)
-            seen = set()
-            for b in blocks:
-                if b in seen:
-                    continue
-                seen.add(b)
-                seen.add(frozenset(-e for e in b))
+            for b in _pair_representatives(blocks):
                 term *= ac(len(b))
             lhs += term
         got = rhs.coeff(d, "bgf")

@@ -14,8 +14,20 @@ from dataclasses import dataclass
 
 from .arrangement import Flat, braid, type_b
 
-MAX_SYMMETRIC = int(os.environ.get("ZONALG_MAX_SYMMETRIC", "8"))
-MAX_HYPEROCTAHEDRAL = int(os.environ.get("ZONALG_MAX_HYPEROCTAHEDRAL", "6"))
+
+def env_int(name, default):
+    """A non-negative integer setting from the environment, read when it is
+    used; a value that is not one raises ValueError naming the variable."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}") from None
+    return value
 
 
 class BoundExceededError(RuntimeError):
@@ -344,14 +356,16 @@ def perm_of(forest):
 # enumeration (the brute-force oracle)
 
 def symmetric_group(d):
-    if d > MAX_SYMMETRIC:
-        raise BoundExceededError(f"S_{d} exceeds the bound {MAX_SYMMETRIC}")
+    bound = env_int("ZONALG_MAX_SYMMETRIC", 8)
+    if d > bound:
+        raise BoundExceededError(f"S_{d} exceeds the bound {bound}")
     return [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
 
 
 def hyperoctahedral_group(d):
-    if d > MAX_HYPEROCTAHEDRAL:
-        raise BoundExceededError(f"B_{d} exceeds the bound {MAX_HYPEROCTAHEDRAL}")
+    bound = env_int("ZONALG_MAX_HYPEROCTAHEDRAL", 6)
+    if d > bound:
+        raise BoundExceededError(f"B_{d} exceeds the bound {bound}")
     out = []
     for p in itertools.permutations(range(1, d + 1)):
         for signs in itertools.product((1, -1), repeat=d):

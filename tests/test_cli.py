@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,36 @@ def test_verify_b_gens_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "b-gens", "--d", "2", "--trials", "2", "--seed", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("ZONALG_SERIES_ORDER_A", ("verify", "gf")),
+        ("ZONALG_SERIES_ORDER_B", ("verify", "gf")),
+        ("ZONALG_MAX_SYMMETRIC", ("stats", "--group", "S", "--d", "3")),
+        ("ZONALG_MAX_HYPEROCTAHEDRAL", ("stats", "--group", "B", "--d", "2")),
+    ],
+)
+def test_bad_env_value_exits_2(capsys, monkeypatch, name, argv):
+    for value in ("abc", "-1"):
+        monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert name in err
+
+
+def test_bad_env_value_does_not_break_import():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, ZONALG_SERIES_ORDER_A="abc", PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonalg", "verify", "gf"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "ZONALG_SERIES_ORDER_A" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -2,10 +2,11 @@ import math
 import pytest
 from fractions import Fraction
 
+from zonalg import arrangement as arrg
+from zonalg import gfseries
 from zonalg.gfseries import (
     RatPoly,
     TruncSeries,
-    convention_convert,
     eulerian_A,
     eulerian_B,
     eulerian_gf_A,
@@ -100,7 +101,7 @@ def test_inverse():
 
 def test_convention_conversion_exact():
     s = TruncSeries.from_coeffs([RatPoly.of(1)] * 5, 4, "egf")
-    t = convention_convert(s, "bgf")
+    t = s.with_convention("bgf")
     for d in range(5):
         assert t.coeff(d, "egf") == RatPoly.of(1)
         assert s.coeff(d, "bgf") == RatPoly.of(Fraction(2 ** d * math.factorial(d), math.factorial(d)))
@@ -144,3 +145,74 @@ def test_cyclic_excedance_d3_value():
 
     assert _cyclic_excedance_poly(3) == RatPoly.of(0, 1, 1)
     assert _partition_mobius_sum_A(3) == RatPoly.of(0, 1, 1)
+
+
+def _poly(by_exc):
+    return RatPoly.of(*[by_exc.get(e, 0) for e in range(max(by_exc) + 1)])
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_bivariate_A_matches_per_element_sum(d):
+    for t in (0, 1, 2, 3, 7):
+        by_exc = {}
+        for s in symmetric_group(d):
+            k = len(s.supp().data)
+            by_exc[s.exc()] = by_exc.get(s.exc(), 0) + t ** k
+        assert gfseries._bivariate_A(d, t) == _poly(by_exc)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_bivariate_B_matches_per_element_sum(d):
+    for t in (0, 1, 2, 3, Fraction(-1, 2)):
+        by_exc = {}
+        for s in hyperoctahedral_group(d):
+            by_exc[s.exc_b()] = by_exc.get(s.exc_b(), 0) + Fraction(t) ** s.supp().dim
+        assert gfseries._bivariate_B(d, t) == _poly(by_exc)
+
+
+def _per_flat_mobius_sum(arr, factor):
+    bot = arrg.bottom_flat(arr)
+    acc = RatPoly.of(0)
+    for x in arrg.flats(arr):
+        acc = acc + factor(x).scale(arrg.mobius(bot, x))
+    return acc
+
+
+def test_grouped_mobius_sum_A5_matches_per_flat_sum():
+    def factor(x):
+        term = RatPoly.of(1)
+        for block in x.data:
+            term = term * eulerian_A(len(block))
+        return term
+
+    assert gfseries._partition_mobius_sum_A(5) == _per_flat_mobius_sum(arrg.braid(5), factor)
+
+
+def test_grouped_mobius_sum_B4_matches_per_flat_sum():
+    def factor(x):
+        zero, blocks = x.data
+        term = eulerian_B(len(zero) // 2)
+        # the two blocks of a ± pair have one size, so every other sorted
+        # size counts each pair once
+        sizes = sorted(len(b) for b in blocks)
+        for m in sizes[::2]:
+            term = term * eulerian_A(m)
+        return term
+
+    assert gfseries._partition_mobius_sum_B(4) == _per_flat_mobius_sum(arrg.type_b(4), factor)
+
+
+def test_corrupted_perm_stats_fails_bivariate_A(monkeypatch):
+    tally = dict(gfseries._perm_stats(4))
+    (k, e), c = next(item for item in sorted(tally.items()) if item[0][1] == 1)
+    tally[(k, e)] = c - 1
+    tally[(k, e + 1)] = tally.get((k, e + 1), 0) + 1
+    real = gfseries._perm_stats
+    monkeypatch.setattr(
+        gfseries, "_perm_stats", lambda d: tuple(sorted(tally.items())) if d == 4 else real(d)
+    )
+    report = {r["identity"]: r for r in verify_identities(order_a=5, order_b=3)}
+    bad = report.pop("supp-excedance-bivariate-A")
+    assert bad["ok"] is False
+    assert bad["first_mismatch"]["d"] == 4
+    assert all(r["ok"] for r in report.values())
