@@ -50,14 +50,11 @@ from .polyclass import (
     VPolytope,
     cube,
     exp_class,
-    face_lattice,
     graded_component,
     lattice_volume,
     log_class,
-    module_act,
     permutahedron,
     pi_equal,
-    pi_multiply,
     psi1,
     segment,
     simplex,

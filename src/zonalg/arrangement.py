@@ -31,7 +31,7 @@ All values are immutable; every function is pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -73,10 +73,17 @@ def coordinate(d):
     return Arrangement(KIND_C, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     arr: Arrangement
     data: tuple
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arr.kind, self.arr.d, self.data)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):
@@ -93,10 +100,17 @@ class Face:
         return f"Face<{face_str(self)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flat:
     arr: Arrangement
     data: tuple
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arr.kind, self.arr.d, self.data)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):
@@ -700,11 +714,14 @@ def parse_flat(arr, text):
             inner = inner[2:]
         inner = inner.strip("{}")
         items = frozenset(int(t) for t in inner.replace(",", " ").split()) if inner.strip() else frozenset()
-        return Flat(arr, items)
+        return _validate_flat(Flat(arr, items), text)
     inner = text.strip("{}")
     tokens = [t for t in inner.split(",") if t.strip()]
     if arr.kind == KIND_A:
-        return Flat(arr, frozenset(_parse_block_a(t) for t in tokens))
+        blocks = [_parse_block_a(t) for t in tokens]
+        if len(set(blocks)) != len(blocks):
+            raise ValueError(f"flat {text!r} repeats a block")
+        return _validate_flat(Flat(arr, frozenset(blocks)), text)
     zero = frozenset()
     blocks = set()
     for tok in tokens:
@@ -714,7 +731,34 @@ def parse_flat(arr, text):
         else:
             blocks.add(_parse_block_b(tok))
     blocks |= {frozenset(-e for e in b) for b in blocks}
-    return Flat(arr, (zero, frozenset(blocks)))
+    return _validate_flat(Flat(arr, (zero, frozenset(blocks))), text)
+
+
+def _validate_flat(flat, text):
+    """The flat itself, if its blocks partition the ground set: [d] for type
+    A, [±d] for type B (with a zero block closed under negation and nonzero
+    blocks that miss their own negatives); the zero set must lie in [d] for
+    the coordinate arrangement."""
+    arr = flat.arr
+    ground = frozenset(range(1, arr.d + 1))
+    if arr.kind == KIND_C:
+        if not flat.data <= ground:
+            raise ValueError(f"flat {text!r} is not a subset of [{arr.d}]")
+        return flat
+    if arr.kind == KIND_A:
+        blocks = list(flat.data)
+    else:
+        zero, nonzero = flat.data
+        ground = ground | frozenset(-e for e in ground)
+        if zero != frozenset(-e for e in zero):
+            raise ValueError(f"flat {text!r}: the zero block is not closed under negation")
+        if any(b & frozenset(-e for e in b) for b in nonzero):
+            raise ValueError(f"flat {text!r}: a nonzero block meets its own negative")
+        blocks = list(nonzero) + ([zero] if zero else [])
+    covered = frozenset().union(*blocks)
+    if not all(blocks) or sum(map(len, blocks)) != len(covered) or covered != ground:
+        raise ValueError(f"flat {text!r} is not a partition of the ground set of {arr.kind}{arr.d}")
+    return flat
 
 
 def _validate_face(face):

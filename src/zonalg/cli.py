@@ -45,12 +45,12 @@ def _log(msg):
 def verify_brenti(type_name="A", dmax=None):
     results = []
     if type_name.upper() in ("A", "ALL"):
-        top = dmax or 5
+        top = 5 if dmax is None else dmax
         for d in range(2, top + 1):
             ok = polyclass.permutahedron(d).h_polynomial() == gfseries.eulerian_A(d)
             results.append({"case": f"A d={d}", "ok": ok})
     if type_name.upper() in ("B", "ALL"):
-        top = dmax or 4
+        top = 4 if dmax is None else dmax
         for d in range(2, top + 1):
             ok = polyclass.typeB_permutahedron(d).h_polynomial() == gfseries.eulerian_B(d)
             results.append({"case": f"B d={d}", "ok": ok})
@@ -266,16 +266,27 @@ def verify_all(quick=True, seed=0):
     return {"suite": "all", "results": suites, "ok": all(s["ok"] for s in suites)}
 
 
+def _dmax(args, default, least=2):
+    """The ``--d`` value, or the suite's default when it is not given.  A
+    value below ``least``, the smallest size the suite checks, would check
+    nothing, so it is an input error."""
+    if args.d is None:
+        return default
+    if args.d < least:
+        raise ValueError(f"verify {args.suite}: --d must be at least {least}, got {args.d}")
+    return args.d
+
+
 _VERIFY = {
-    "thm-a": lambda args: verify_thm_a(args.d or 5, min(args.d or 4, 4)),
-    "thm-b": lambda args: verify_thm_b(args.d or 4),
-    "brenti": lambda args: verify_brenti(args.type or "all", args.d),
+    "thm-a": lambda args: verify_thm_a(_dmax(args, 5), min(_dmax(args, 4), 4)),
+    "thm-b": lambda args: verify_thm_b(_dmax(args, 4)),
+    "brenti": lambda args: verify_brenti(args.type or "all", _dmax(args, None)),
     "gf": lambda args: verify_gf(args.order, args.order_b),
-    "idempotents": lambda args: verify_idempotents(args.d or 4),
-    "conjecture": lambda args: verify_conjecture(args.d or 4),
-    "b-gens": lambda args: verify_b_gens(args.d or 4, args.trials, args.seed),
-    "hopf": lambda args: verify_hopf(args.d or 3, args.seed),
-    "cube": lambda args: verify_cube(args.d or 5, min(args.d or 4, 4)),
+    "idempotents": lambda args: verify_idempotents(_dmax(args, 4)),
+    "conjecture": lambda args: verify_conjecture(_dmax(args, 4)),
+    "b-gens": lambda args: verify_b_gens(_dmax(args, 4), args.trials, args.seed),
+    "hopf": lambda args: verify_hopf(_dmax(args, 3), args.seed),
+    "cube": lambda args: verify_cube(_dmax(args, 5, least=1), min(_dmax(args, 4, least=1), 4)),
     "all": lambda args: verify_all(args.quick, args.seed),
 }
 

@@ -19,8 +19,9 @@ questions are settled here.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from . import arrangement as arrg
 from . import linalg
@@ -30,10 +31,6 @@ from .gfseries import RatPoly
 
 class NotDeformationError(ValueError):
     """The given points are not the vertices of a deformation of the zonotope."""
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 _INTERN = {}
@@ -51,11 +48,16 @@ def _chamber_vectors(arr):
 
 
 class VPolytope:
-    """A polytope given by its exact vertex set, tagged by the arrangement."""
+    """A polytope given by its exact vertex set, tagged by the arrangement.
+
+    Polytopes are interned: building one equal to an existing polytope
+    (same arrangement, same vertex set) returns that object, so equality
+    and hashing are by identity.
+    """
 
     __slots__ = (
         "arr", "verts", "_ipts", "_dim", "_face_sets", "_face_cache",
-        "_lattice", "_children", "_volumes", "_weights", "__weakref__",
+        "_lattice", "_children", "_volumes", "_weights", "_normal", "__weakref__",
     )
 
     def __new__(cls, arr, points, assume_vertices=False, check=False):
@@ -82,19 +84,11 @@ class VPolytope:
             self._children = None
             self._volumes = {}
             self._weights = {}
+            self._normal = None
             _INTERN[key] = self
         if check:
             check_deformation(self)
         return self
-
-    # equality and hashing go through the intern table
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, VPolytope) and self.arr == other.arr and self.verts == other.verts
-        )
-
-    def __hash__(self):
-        return hash((self.arr, self.verts))
 
     def __repr__(self):
         return f"VPolytope({self.arr.kind}{self.arr.d}, {len(self.verts)} vertices, dim {self.dim})"
@@ -111,16 +105,7 @@ class VPolytope:
 
     def argmax_set(self, weight_vector):
         """Indices of the vertices maximizing an integer direction."""
-        best = None
-        out = []
-        for i, q in enumerate(self._ipts):
-            v = sum(a * b for a, b in zip(q, weight_vector))
-            if best is None or v > best:
-                best = v
-                out = [i]
-            elif v == best:
-                out.append(i)
-        return frozenset(out)
+        return frozenset(_argmax(self._ipts, weight_vector))
 
     def face_set(self, face):
         """Vertex-index set of the face of this polytope attached to an
@@ -264,10 +249,13 @@ class VPolytope:
 
     def normalized(self):
         """Translate the lexicographically least vertex to the origin."""
-        base = self.verts[0]
-        if all(c == 0 for c in base):
-            return self
-        return self.translate(tuple(-c for c in base))
+        if self._normal is None:
+            base = self.verts[0]
+            if all(c == 0 for c in base):
+                self._normal = self
+            else:
+                self._normal = self.translate(tuple(-c for c in base))
+        return self._normal
 
     def minkowski(self, other):
         if self.arr != other.arr:
@@ -307,23 +295,22 @@ def _int_coords(verts):
     den = 1
     for v in verts:
         for c in v:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
     return tuple(tuple(int(c * den) for c in v) for v in verts)
+
+
+def _argmax(ipts, w):
+    """Indices of the integer points maximizing the integer direction w."""
+    vals = [sum(map(operator.mul, q, w)) for q in ipts]
+    best = max(vals)
+    return [i for i, v in enumerate(vals) if v == best]
 
 
 def _extract_vertices(arr, pts):
     ipts = _int_coords(pts)
     chosen = set()
     for w in _chamber_vectors(arr):
-        best = None
-        best_idx = []
-        for i, q in enumerate(ipts):
-            v = sum(a * b for a, b in zip(q, w))
-            if best is None or v > best:
-                best = v
-                best_idx = [i]
-            elif v == best:
-                best_idx.append(i)
+        best_idx = _argmax(ipts, w)
         if len(best_idx) > 1:
             raise NotDeformationError(
                 "multiple maximizers at a chamber interior point; the hull is "
@@ -346,7 +333,7 @@ def _segment_length(a, b):
     v = tuple(x - y for x, y in zip(b, a))
     den = 1
     for c in v:
-        den = _lcm(den, c.denominator)
+        den = lcm(den, c.denominator)
     iv = [int(c * den) for c in v]
     g = 0
     for c in iv:
@@ -362,7 +349,7 @@ def check_deformation(p):
         w1 = arrg.interior_point(face, variant=1)
         den = 1
         for c in w1:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
         w1i = tuple(int(c * den) for c in w1)
         if p.argmax_set(w0) != p.argmax_set(w1i):
             raise NotDeformationError(
@@ -519,17 +506,20 @@ class PiElement:
         """Module action of a face sum (bilinear extension)."""
         if element.arr != self.arr:
             raise ValueError("acting element over a different arrangement")
-        acc = PiElement.zero(self.arr)
+        out = {}
         for face, coeff in element.terms:
-            acc = acc + self.act_face(face).scale(coeff)
-        return acc
+            for p, c in self.terms.items():
+                q = p.face_max(face)
+                out[q] = out.get(q, 0) + coeff * c
+        return PiElement(self.arr, out)
 
     def phi(self, face_dims=None):
         """Cone-weight coordinates of the class."""
-        acc = ConeWeights(self.arr, {})
+        out = {}
         for p, c in self.terms.items():
-            acc = acc + polytope_cone_weights(p, face_dims).scale(c)
-        return acc
+            for face, w in polytope_cone_weights(p, face_dims).weights.items():
+                out[face] = out.get(face, 0) + w * c
+        return ConeWeights(self.arr, out)
 
     def is_formally_zero(self):
         return not self.terms
@@ -542,11 +532,6 @@ def _point(arr):
     return VPolytope(arr, [(Fraction(0),) * arr.d], assume_vertices=True)
 
 
-def face_lattice(p):
-    """All faces of the polytope as vertex-index sets with their dimensions."""
-    return dict(p.lattice())
-
-
 def lattice_volume(q):
     """Normalized volume of a polytope given by its vertex set: Euclidean
     volume in coordinates of a lattice basis of its linear span over Z^d."""
@@ -557,14 +542,6 @@ def lattice_volume(q):
 def pi_equal(x, y):
     """Equality of classes, decided in the faithful cone-weight coordinates."""
     return (x - y).phi().is_zero()
-
-
-def pi_multiply(x, y):
-    return x * y
-
-
-def module_act(x, element):
-    return x.act(element)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import arrangement as arrg
 from .arrangement import Arrangement, Face
@@ -85,14 +85,21 @@ class TitsElement:
         return TitsElement(self.arr, tuple((f, v * c) for f, v in self.terms))
 
     def __mul__(self, other):
-        """Bilinear extension of the Tits product."""
+        """Bilinear extension of the Tits product.  Both operands are scaled
+        to integers first, so the sum per product face adds integers and
+        divides once."""
         self._check(other)
+        den_a = lcm(*(a.denominator for _, a in self.terms))
+        den_b = lcm(*(b.denominator for _, b in other.terms))
+        left = [(f, a.numerator * (den_a // a.denominator)) for f, a in self.terms]
+        right = [(g, b.numerator * (den_b // b.denominator)) for g, b in other.terms]
         out = {}
-        for f, a in self.terms:
-            for g, b in other.terms:
+        for f, a in left:
+            for g, b in right:
                 fg = _cached_product(f, g)
-                out[fg] = out.get(fg, Fraction(0)) + a * b
-        return TitsElement.from_dict(self.arr, out)
+                out[fg] = out.get(fg, 0) + a * b
+        den = den_a * den_b
+        return TitsElement.from_dict(self.arr, {fg: Fraction(v, den) for fg, v in out.items()})
 
     def is_zero(self):
         return not self.terms

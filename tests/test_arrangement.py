@@ -226,3 +226,44 @@ def test_parse_rejects_bad_faces():
         parse_face(arr, "12|2")
     with pytest.raises(ValueError):
         parse_face(arr, "1|2")
+
+
+@pytest.mark.parametrize("arr", [braid(3), type_b(2), coordinate(3)])
+def test_equal_faces_and_flats_hash_alike(arr):
+    twin = arrg.Arrangement(arr.kind, arr.d)
+    assert twin is not arr
+    for f in faces(arr):
+        g = arrg.Face(twin, f.data)
+        assert g == f and hash(g) == hash(f)
+        assert {f: 1}[g] == 1 and len({f, g}) == 1
+        assert parse_face(twin, face_str(f)) == f
+    for x in flats(arr):
+        y = arrg.Flat(twin, x.data)
+        assert y == x and hash(y) == hash(x)
+        assert {x: 1}[y] == 1 and len({x, y}) == 1
+    f = faces(arr)[0]
+    assert not hasattr(f, "__dict__")
+    assert arrg.Face(arrg.Arrangement(arr.kind, arr.d + 1), f.data) != f
+
+
+@pytest.mark.parametrize(
+    "arr, text",
+    [
+        (braid(3), "{12}"),
+        (braid(3), "{12,23}"),
+        (braid(3), "{12,3,3}"),
+        (braid(3), "{1,2,3,4}"),
+        (braid(3), "{}"),
+        (type_b(2), "{1}"),
+        (type_b(2), "{0:1}"),
+        (type_b(2), "{0:1 -1}"),
+        (type_b(2), "{1 -1,2}"),
+        (type_b(2), "{1 2,1 -2}"),
+        (type_b(2), "{0:1 -1,1,2}"),
+        (coordinate(3), "X_{4}"),
+        (coordinate(3), "X_{0,1}"),
+    ],
+)
+def test_parse_flat_rejects_non_partitions(arr, text):
+    with pytest.raises(ValueError):
+        parse_flat(arr, text)

@@ -143,3 +143,38 @@ def test_bad_env_value_does_not_break_import():
     assert proc.returncode == 2
     assert "ZONALG_SERIES_ORDER_A" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SUITES_WITH_D = ("thm-a", "thm-b", "brenti", "idempotents", "conjecture", "b-gens", "hopf", "cube")
+
+
+@pytest.mark.parametrize("suite", SUITES_WITH_D)
+def test_verify_d_below_smallest_size_exits_2(capsys, suite):
+    # every suite but cube starts at d=2, so --d 1 would check nothing
+    for d in ("0", "-1") + (() if suite == "cube" else ("1",)):
+        code, out, err = run_cli(capsys, "verify", suite, "--d", d)
+        assert code == 2
+        assert out == ""
+        assert "--d" in err
+
+
+def test_verify_cube_d_1_checks_d_1(capsys):
+    code, out, _ = run_cli(capsys, "verify", "cube", "--d", "1")
+    assert code == 0
+    assert [r["d"] for r in json.loads(out)["results"]] == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eta", "--type", "A", "--d", "3", "--flat", "{12}"),
+        ("eta", "--type", "B", "--d", "2", "--flat", "{0:1}"),
+        ("eta", "--type", "cube", "--d", "3", "--flat", "X_{4}"),
+        ("stats", "--group", "S", "--d", "3", "--flat", "{12,23}"),
+    ],
+)
+def test_invalid_flat_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -1,0 +1,24 @@
+"""Smoke test: every demo script runs to completion."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+DEMOS = sorted(glob.glob(os.path.join(_ROOT, "demos", "*.py")))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

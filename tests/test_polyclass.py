@@ -132,7 +132,7 @@ def test_unit_square_volume():
 
 
 def test_lattice_volume_examples():
-    from zonalg.polyclass import face_lattice, lattice_volume
+    from zonalg.polyclass import lattice_volume
 
     arr = coordinate(2)
     seg = VPolytope(arr, [(0, 0), (1, 1)], assume_vertices=True)
@@ -141,7 +141,7 @@ def test_lattice_volume_examples():
     assert lattice_volume(seg2) == 2
     assert lattice_volume(cube(2)) == 1
     assert lattice_volume(VPolytope(arr, [(5, 7)], assume_vertices=True)) == 1
-    lat = face_lattice(cube(2))
+    lat = cube(2).lattice()
     assert sorted(lat.values()).count(0) == 4 and max(lat.values()) == 2
 
 
@@ -417,3 +417,70 @@ def test_arrangement_mismatch_raises():
         cube(2).minkowski(permutahedron(2))
     with pytest.raises(ValueError):
         PiElement.of(cube(2)) + PiElement.of(permutahedron(2))
+
+
+def test_polytopes_are_interned():
+    arr = braid(3)
+    verts = [tuple(Fraction(c) for c in v) for v in permutahedron(3).verts]
+    shuffled = verts[::-1]
+    duplicated = verts + verts[:3]
+    as_ints = [tuple(int(c) for c in v) for v in verts]
+    p = VPolytope(arr, verts)
+    for pts in (shuffled, duplicated, as_ints):
+        assert VPolytope(arr, pts) is p
+        assert VPolytope(arr, pts, assume_vertices=True) is p
+    assert permutahedron(3) is p
+    # equality and hashing are by identity
+    assert {p: 1}[VPolytope(arr, shuffled)] == 1
+    assert p != simplex(arr, {1, 2, 3})
+    assert p != VPolytope(coordinate(3), verts, assume_vertices=True)
+
+
+def test_normalized_is_shared_by_translates():
+    for p in (permutahedron(3), cube(3), simplex0(type_b(2), {1, -2})):
+        q = p.translate(tuple(Fraction(k + 1, 2) for k in range(p.arr.d)))
+        assert q is not p
+        assert q.normalized() is p.normalized()
+        assert p.normalized().normalized() is p.normalized()
+        assert all(c == 0 for c in p.normalized().verts[0])
+
+
+def _act_oracle(x, element):
+    acc = PiElement.zero(x.arr)
+    for face, coeff in element.terms:
+        acc = acc + x.act_face(face).scale(coeff)
+    return acc
+
+
+def _adams_classes():
+    arr = braid(3)
+    return [
+        PiElement.of(permutahedron(3)),
+        log_class(simplex(arr, {1, 2, 3})) + PiElement.of(simplex(arr, {1, 3}), Fraction(-2, 3)),
+        log_class(permutahedron(3)) * log_class(simplex(arr, {2, 3})),
+    ]
+
+
+def _gamma_classes():
+    arr = coordinate(3)
+    return [
+        PiElement.of(cube(3)),
+        log_class(cube(3)) - PiElement.of(segment(arr, (0, 0, 1)), Fraction(1, 2)),
+        log_class(segment(arr, (0, 2, 0))) * log_class(cube(3).dilate(3)),
+    ]
+
+
+@pytest.mark.parametrize("case", ["adams-A3", "gamma-C3"])
+def test_act_matches_facewise_oracle(case):
+    from zonalg.titsalgebra import adams_family, gamma_family
+
+    if case == "adams-A3":
+        family, classes = adams_family(3), _adams_classes()
+    else:
+        family, classes = gamma_family(3, 2)[1], _gamma_classes()
+    for x in classes:
+        for _, e in family.elements:
+            got = x.act(e)
+            want = _act_oracle(x, e)
+            assert got.terms == want.terms
+            assert got.phi() == want.phi()

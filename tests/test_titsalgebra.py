@@ -177,3 +177,39 @@ def test_tits_element_json_round_trip():
     data = w.to_json()
     back = TitsElement.from_json(arr, data)
     assert (w - back).is_zero()
+
+
+def _product_oracle(x, y):
+    out = {}
+    for f, a in x.terms:
+        for g, b in y.terms:
+            fg = arrg.tits_product(f, g)
+            out[fg] = out.get(fg, Fraction(0)) + a * b
+    return TitsElement.from_dict(x.arr, out)
+
+
+def _b2_elements():
+    """Type-B2 face sums with several denominators: the uniform average u of
+    the chambers and the H_F u for rays F (idempotents, as u H_F = u), and
+    H_F/3 + 2 H_O/3."""
+    arr = type_b(2)
+    chambers = arrg.chambers(arr)
+    u = TitsElement.from_dict(arr, {c: Fraction(1, len(chambers)) for c in chambers})
+    out = [u, TitsElement.unit(arr)]
+    for f in arrg.faces(arr):
+        if f.dim == 1:
+            out.append(TitsElement.basis(f) * u)
+            out.append(TitsElement.from_dict(arr, {f: Fraction(1, 3), arrg.central_face(arr): Fraction(2, 3)}))
+    return out
+
+
+@pytest.mark.parametrize("case", ["adams-A3", "B2"])
+def test_product_matches_fraction_oracle(case):
+    if case == "adams-A3":
+        elements = [e for _, e in adams_family(3).elements] + [adams_element(3, Fraction(1, 2))]
+    else:
+        elements = _b2_elements()
+    assert any(c.denominator > 1 for e in elements for _, c in e.terms)
+    for x in elements:
+        for y in elements:
+            assert x * y == _product_oracle(x, y)
