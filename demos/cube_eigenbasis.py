@@ -23,7 +23,7 @@ print("its idempotent family passes idempotency/orthogonality/completeness")
 
 table = eta_mobius(arr)
 print("\nmultiplicity table of the cube (flat X_S, grade r) -> 1 iff r = |S|:")
-for (x, r), v in table.entries:
+for (x, r), v in table.entries.items():
     print(f"  {str(x):<12} r={r}: {v}")
 
 rep = y_basis_cube(d)
@@ -37,4 +37,4 @@ print("basis of all of the cube's class algebra:", rep["ok"])
 # the half-open square: dilation by 2 scales it by 4
 y = log_class(segment(arr, (1, 0, 0))) * log_class(segment(arr, (0, 1, 0)))
 print("\nhalf-open square class: dilation by 2 multiplies cone weights by",
-      set((y.dilate(2).phi().weights[f] / w) for f, w in y.phi().weights.items()))
+      set((y.dilate(2).phi().terms[f] / w) for f, w in y.phi().terms.items()))

@@ -20,7 +20,7 @@ rnk = eta_idempotent_rank(d)
 
 print(f"multiplicity table for the braid arrangement in R^{d}")
 print(f"{'flat':<14}{'r':>3}  {'mobius':>7}{'perms':>7}{'ranks':>7}")
-for (x, r), v in mob.entries:
+for (x, r), v in mob.entries.items():
     print(f"{str(x):<14}{r:>3}  {v:>7}{cnt.value(x, r):>7}{rnk.value(x, r):>7}")
 
 assert mob.same_values(cnt) and mob.same_values(rnk)
@@ -31,7 +31,7 @@ print("\nthe same in type B, where the statistic is the B-excedance:")
 arrb = arrg.type_b(2)
 mobb = eta_mobius(arrb)
 cntb = eta_permutations(arrb)
-for (x, r), v in mobb.entries:
+for (x, r), v in mobb.entries.items():
     print(f"{str(x):<22}{r:>3}  {v:>7}{cntb.value(x, r):>7}")
 assert mobb.same_values(cntb)
 

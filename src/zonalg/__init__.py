@@ -24,8 +24,6 @@ from .arrangement import (
     braid,
     type_b,
     coordinate,
-    enumerate_faces,
-    enumerate_flats,
     tits_product,
     support,
     mobius,

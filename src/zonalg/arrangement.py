@@ -52,11 +52,6 @@ class Arrangement:
         if self.d < 1:
             raise ValueError("ambient dimension must be >= 1")
 
-    @property
-    def central_dim(self):
-        """Dimension of the central face (1 for braid, 0 otherwise)."""
-        return 1 if self.kind == KIND_A else 0
-
     def __repr__(self):
         return f"Arrangement({self.kind!r}, {self.d})"
 
@@ -285,17 +280,6 @@ def flats(arr):
     return tuple(out)
 
 
-def enumerate_faces(arr, dim_filter=None):
-    all_faces = faces(arr)
-    if dim_filter is None:
-        return list(all_faces)
-    return [f for f in all_faces if f.dim == dim_filter]
-
-
-def enumerate_flats(arr):
-    return list(flats(arr))
-
-
 def chambers(arr):
     full = arr.d
     return tuple(f for f in faces(arr) if f.dim == full)
@@ -367,12 +351,14 @@ def flats_geq(x):
     return [y for y in flats(x.arr) if flat_leq(x, y)]
 
 
-def flats_leq(x):
-    return [y for y in flats(x.arr) if flat_leq(y, x)]
-
-
 def faces_with_support(arr, x):
     return [f for f in faces(arr) if support(f) == x]
+
+
+def _pair_representatives(blocks):
+    """One block of each ± pair of a signed flat's nonzero blocks: the one
+    whose element of least absolute value is positive."""
+    return [b for b in blocks if min(b, key=abs) > 0]
 
 
 def _full_blocks_b(face):
@@ -563,12 +549,7 @@ def mobius(x, y):
         zy, by = y.data
         pairs_in_zero = sum(1 for b in by if b <= zx) // 2
         result = _mobius_signed_factor(pairs_in_zero)
-        seen = set()
-        for block in bx:
-            if block in seen:
-                continue
-            seen.add(block)
-            seen.add(frozenset(-e for e in block))
+        for block in _pair_representatives(bx):
             inside = sum(1 for b in by if b <= block)
             result *= _mobius_partition_factor(inside)
         return result
@@ -609,11 +590,10 @@ def characteristic_polynomial(arr, under_flat=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _block_str_a(block):
-    items = sorted(block)
-    if items[-1] <= 9:
-        return "".join(str(i) for i in items)
-    return " ".join(str(i) for i in items)
+def _block_str_a(block, d):
+    """The elements in increasing order, run together up to d = 9 and
+    separated by spaces from d = 10 on."""
+    return (" " if d >= 10 else "").join(str(i) for i in sorted(block))
 
 
 def _signed_block_sort_key(block):
@@ -628,7 +608,7 @@ def _block_str_b(block):
 def face_str(face):
     arr = face.arr
     if arr.kind == KIND_A:
-        return "|".join(_block_str_a(b) for b in face.data)
+        return "|".join(_block_str_a(b, arr.d) for b in face.data)
     if arr.kind == KIND_B:
         parts = []
         blocks, zero = face.data
@@ -646,7 +626,7 @@ def flat_str(flat):
     arr = flat.arr
     if arr.kind == KIND_A:
         blocks = sorted(flat.data, key=min)
-        return "{" + ",".join(_block_str_a(b) for b in blocks) + "}"
+        return "{" + ",".join(_block_str_a(b, arr.d) for b in blocks) + "}"
     if arr.kind == KIND_B:
         zero, blocks = flat.data
         parts = []
@@ -658,28 +638,28 @@ def flat_str(flat):
     return "X_{" + ",".join(str(i) for i in sorted(flat.data)) + "}"
 
 
-def _parse_block_a(token):
-    token = token.strip()
-    if " " in token:
-        return frozenset(int(t) for t in token.split())
-    return frozenset(int(ch) for ch in token)
+def face_terms_json(terms):
+    """A face-keyed combination as JSON rows, faces in the order of faces()."""
+    return [
+        {"face": face_str(f), "coeff": str(terms[f])}
+        for f in sorted(terms, key=_face_sort_key)
+    ]
 
 
-def _parse_block_b(token):
-    token = token.strip()
-    if not token:
-        return frozenset()
+def _parse_block(token, d):
+    """A block of space-separated integers.  Up to d = 9 a token without
+    spaces or signs may also run single digits together, e.g. "67"; from
+    d = 10 on it is one integer."""
     parts = token.split()
-    if len(parts) == 1 and "-" not in token and len(token) > 1:
-        # concatenated single digits, e.g. "67"
-        return frozenset(int(ch) for ch in token)
+    if d <= 9 and len(parts) == 1 and "-" not in token:
+        return frozenset(int(ch) for ch in parts[0])
     return frozenset(int(t) for t in parts)
 
 
 def parse_face(arr, text):
     text = text.strip()
     if arr.kind == KIND_A:
-        blocks = [_parse_block_a(tok) for tok in text.split("|")]
+        blocks = [_parse_block(tok, arr.d) for tok in text.split("|")]
         face = Face(arr, tuple(blocks))
     elif arr.kind == KIND_B:
         toks = text.split("|")
@@ -689,10 +669,10 @@ def parse_face(arr, text):
         for tok in toks:
             tok = tok.strip()
             if tok.startswith("0:"):
-                zero = _parse_block_b(tok[2:])
+                zero = _parse_block(tok[2:], arr.d)
                 zero_seen = True
             elif not zero_seen:
-                blocks.append(_parse_block_b(tok))
+                blocks.append(_parse_block(tok, arr.d))
         if not zero_seen:
             # no explicit zero block: the listed blocks are symmetric halves
             if len(blocks) % 2:
@@ -718,7 +698,7 @@ def parse_flat(arr, text):
     inner = text.strip("{}")
     tokens = [t for t in inner.split(",") if t.strip()]
     if arr.kind == KIND_A:
-        blocks = [_parse_block_a(t) for t in tokens]
+        blocks = [_parse_block(t, arr.d) for t in tokens]
         if len(set(blocks)) != len(blocks):
             raise ValueError(f"flat {text!r} repeats a block")
         return _validate_flat(Flat(arr, frozenset(blocks)), text)
@@ -727,9 +707,9 @@ def parse_flat(arr, text):
     for tok in tokens:
         tok = tok.strip()
         if tok.startswith("0:"):
-            zero = _parse_block_b(tok[2:])
+            zero = _parse_block(tok[2:], arr.d)
         else:
-            blocks.add(_parse_block_b(tok))
+            blocks.add(_parse_block(tok, arr.d))
     blocks |= {frozenset(-e for e in b) for b in blocks}
     return _validate_flat(Flat(arr, (zero, frozenset(blocks))), text)
 

@@ -309,7 +309,7 @@ def _cmd_eta(args):
     agree = all(t.same_values(tables[0]) for t in tables[1:])
     rows = []
     flat_filter = arrg.parse_flat(arr, args.flat) if args.flat else None
-    for (x, r), v in tables[0].entries:
+    for (x, r), v in tables[0].entries.items():
         if flat_filter is not None and x != flat_filter:
             continue
         rows.append({"flat": arrg.flat_str(x), "r": r, "value": v})

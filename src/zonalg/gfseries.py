@@ -420,12 +420,6 @@ def _bivariate_B(d, t):
     return _tally_poly(_signed_stats(d), t)
 
 
-def _pair_representatives(blocks):
-    """One block of each ± pair of a signed flat's nonzero blocks: the one
-    whose element of least absolute value is positive."""
-    return [b for b in blocks if min(b, key=abs) > 0]
-
-
 def _mobius_sum_by_type(arr, block_type, product):
     """sum over the flats X of arr of mu(bot, X) * product(block_type(X)).
 
@@ -458,7 +452,7 @@ def _partition_mobius_sum_B(d):
         arrg.type_b(d),
         lambda x: (
             len(x.data[0]) // 2,
-            tuple(sorted(len(b) for b in _pair_representatives(x.data[1]))),
+            tuple(sorted(len(b) for b in arrg._pair_representatives(x.data[1]))),
         ),
         lambda key: math.prod(map(eulerian_A, key[1]), start=eulerian_B(key[0])),
     )
@@ -617,7 +611,7 @@ def _check_compositional_b(order):
                 zero, blocks = x.data
                 k = len(blocks) // 2
                 term = fc(len(zero) // 2) * gc(k)
-                for b in _pair_representatives(blocks):
+                for b in arrg._pair_representatives(blocks):
                     term *= ac(len(b))
                 lhs += term
             got = rhs.coeff(d, "bgf")
@@ -654,7 +648,7 @@ def _check_exponential_b(order):
         for x in arrg.flats(arr):
             zero, blocks = x.data
             term = fc(len(zero) // 2)
-            for b in _pair_representatives(blocks):
+            for b in arrg._pair_representatives(blocks):
                 term *= ac(len(b))
             lhs += term
         got = rhs.coeff(d, "bgf")

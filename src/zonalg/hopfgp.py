@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import arrangement as arrg
 from . import polyclass
 from .arrangement import Face
+from .linalg import Combination
 from .polyclass import PiElement, VPolytope
 
 
@@ -90,25 +91,15 @@ def gp_coproduct(p, s_labels):
     t_idx = [p.labels.index(l) for l in t_sorted]
     restr = VPolytope(
         arrg.braid(len(s_sorted)),
-        _dedup_tuples(tuple(v[i] for i in s_idx) for v in q.verts),
+        [tuple(v[i] for i in s_idx) for v in q.verts],
         assume_vertices=True,
     )
     contr = VPolytope(
         arrg.braid(len(t_sorted)),
-        _dedup_tuples(tuple(v[i] for i in t_idx) for v in q.verts),
+        [tuple(v[i] for i in t_idx) for v in q.verts],
         assume_vertices=True,
     )
     return LabeledGP.make(s_sorted, restr), LabeledGP.make(t_sorted, contr)
-
-
-def _dedup_tuples(tuples):
-    seen = set()
-    out = []
-    for t in tuples:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +135,22 @@ def antipode_class(x, n=None):
 # ---------------------------------------------------------------------------
 # tensors of classes in cone-weight coordinates
 
-class Tensor2:
-    """Formal sum of tensor products of classes over a two-block split."""
+class Tensor2(Combination):
+    """Formal sum of tensor products of classes over a two-block split;
+    ``arr`` is the pair of arrangements of the two factors."""
 
-    def __init__(self, arrs, terms=None):
-        self.arrs = arrs
-        self.terms = {}
-        for (p, q), c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = (p.normalized(), q.normalized())
-            self.terms[key] = self.terms.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+    __slots__ = ()
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Tensor2(self.arrs, out)
-
-    def scale(self, c):
-        return Tensor2(self.arrs, {k: v * Fraction(c) for k, v in self.terms.items()})
+    @staticmethod
+    def _key(pq):
+        return (pq[0].normalized(), pq[1].normalized())
 
     def phi2(self):
         """Weights on pairs of arrangement faces (the tensor of the embeddings)."""
         out = {}
         for (p, q), c in self.terms.items():
-            wp = polyclass.polytope_cone_weights(p).weights
-            wq = polyclass.polytope_cone_weights(q).weights
+            wp = polyclass.polytope_cone_weights(p).terms
+            wq = polyclass.polytope_cone_weights(q).terms
             for f1, a in wp.items():
                 for f2, b in wq.items():
                     key = (f1, f2)

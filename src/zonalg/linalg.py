@@ -1,4 +1,6 @@
-"""Exact linear algebra over the rationals and over integer lattices.
+"""Exact linear algebra over the rationals and over integer lattices, and
+the sparse rational combinations that every algebra of the package is built
+on.
 
 Everything here works on plain lists/tuples of ``fractions.Fraction`` (or
 ``int``).  Matrices are sequences of rows.  No floating point anywhere.
@@ -7,7 +9,95 @@ Everything here works on plain lists/tuples of ``fractions.Fraction`` (or
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+
+
+class Combination:
+    """A finite rational combination over a basis of hashable keys.
+
+    ``terms`` maps each key to its nonzero ``Fraction`` coefficient; ``arr``
+    tags what the keys live over, and only combinations with equal tags
+    are added.  The constructor canonicalizes outside input: each key goes
+    through ``_key``, coefficients of equal keys are added up and zeros are
+    dropped.  Results of the operations below are built by ``_make``, which
+    takes terms that are already canonical.  Subclasses add their products.
+    """
+
+    __slots__ = ("arr", "terms")
+
+    def __init__(self, arr, terms=None):
+        self.arr = arr
+        out = {}
+        key = self._key
+        for k, c in (terms or {}).items():
+            if c:
+                k = key(k)
+                out[k] = out[k] + c if k in out else Fraction(c)
+        self.terms = {k: c for k, c in out.items() if c}
+
+    @staticmethod
+    def _key(k):
+        return k
+
+    @classmethod
+    def _make(cls, arr, terms):
+        self = object.__new__(cls)
+        self.arr = arr
+        self.terms = terms
+        return self
+
+    @classmethod
+    def zero(cls, arr):
+        return cls._make(arr, {})
+
+    def coeff(self, key):
+        return self.terms.get(self._key(key), _ZERO)
+
+    def _check(self, other):
+        if self.arr != other.arr:
+            raise ValueError(f"{type(self).__name__}s over different arrangements")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            if k in out:
+                c += out[k]
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._make(self.arr, out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._make(self.arr, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self.zero(self.arr)
+        return self._make(self.arr, {k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.arr == other.arr and self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.arr!r}, {len(self.terms)} terms)"
+
+
+def to_integers(values):
+    """(den, ints): the least common denominator of the rationals ``values``
+    and the list of the integers ``den * x``."""
+    den = lcm(*[x.denominator for x in values])
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _rref(rows, width):
@@ -110,13 +200,8 @@ class IncrementalRank:
 
 
 def _clear_denominators(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    _, ints = to_integers(row)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints

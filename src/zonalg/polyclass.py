@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from . import arrangement as arrg
 from . import linalg
 from .arrangement import Arrangement
 from .gfseries import RatPoly
+from .linalg import _ZERO, Combination, to_integers
 
 
 class NotDeformationError(ValueError):
@@ -272,7 +273,7 @@ class VPolytope:
         if lam < 0:
             raise ValueError("dilation requires a nonnegative scalar")
         if lam == 0:
-            return VPolytope(self.arr, [(Fraction(0),) * self.arr.d], assume_vertices=True)
+            return _point(self.arr)
         return VPolytope(
             self.arr,
             [tuple(lam * c for c in v) for v in self.verts],
@@ -292,11 +293,9 @@ def _dedup(points):
 
 
 def _int_coords(verts):
-    den = 1
-    for v in verts:
-        for c in v:
-            den = lcm(den, c.denominator)
-    return tuple(tuple(int(c * den) for c in v) for v in verts)
+    d = len(verts[0])
+    _, ints = to_integers([c for v in verts for c in v])
+    return tuple(tuple(ints[i:i + d]) for i in range(0, len(ints), d))
 
 
 def _argmax(ipts, w):
@@ -330,15 +329,8 @@ def _subset_dim(p, fs):
 def _segment_length(a, b):
     """Lattice-normalized length of a segment: b - a as a multiple of the
     primitive integer vector in its direction."""
-    v = tuple(x - y for x, y in zip(b, a))
-    den = 1
-    for c in v:
-        den = lcm(den, c.denominator)
-    iv = [int(c * den) for c in v]
-    g = 0
-    for c in iv:
-        g = gcd(g, abs(c))
-    return Fraction(g, den)
+    den, iv = to_integers([x - y for x, y in zip(b, a)])
+    return Fraction(gcd(*iv), den)
 
 
 def check_deformation(p):
@@ -346,12 +338,8 @@ def check_deformation(p):
     depend on the choice of interior point."""
     for face in arrg.faces(p.arr):
         w0 = tuple(int(c) for c in arrg.interior_point(face, variant=0))
-        w1 = arrg.interior_point(face, variant=1)
-        den = 1
-        for c in w1:
-            den = lcm(den, c.denominator)
-        w1i = tuple(int(c * den) for c in w1)
-        if p.argmax_set(w0) != p.argmax_set(w1i):
+        _, w1 = to_integers(arrg.interior_point(face, variant=1))
+        if p.argmax_set(w0) != p.argmax_set(w1):
             raise NotDeformationError(
                 f"face maximizer at {arrg.face_str(face)} depends on the "
                 "interior point; not a deformation"
@@ -362,47 +350,19 @@ def check_deformation(p):
 # ---------------------------------------------------------------------------
 # cone weights
 
-class ConeWeights:
+class ConeWeights(Combination):
     """Sparse rational weights on the faces of an arrangement."""
 
-    __slots__ = ("arr", "weights")
-
-    def __init__(self, arr, weights=None):
-        self.arr = arr
-        self.weights = {f: Fraction(w) for f, w in (weights or {}).items() if w != 0}
-
-    def __add__(self, other):
-        out = dict(self.weights)
-        for f, w in other.weights.items():
-            out[f] = out.get(f, Fraction(0)) + w
-        return ConeWeights(self.arr, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return ConeWeights(self.arr, {f: w * c for f, w in self.weights.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConeWeights)
-            and self.arr == other.arr
-            and self.weights == other.weights
-        )
-
-    def is_zero(self):
-        return not self.weights
+    __slots__ = ()
 
     def support_dims(self):
-        return sorted({f.dim for f in self.weights})
+        return sorted({f.dim for f in self.terms})
 
     def to_vector(self, face_order):
-        return [self.weights.get(f, Fraction(0)) for f in face_order]
+        return [self.terms.get(f, _ZERO) for f in face_order]
 
     def to_json(self):
-        keys = sorted(self.weights, key=arrg._face_sort_key)
-        return [{"face": arrg.face_str(f), "coeff": str(self.weights[f])} for f in keys]
+        return arrg.face_terms_json(self.terms)
 
 
 def polytope_cone_weights(p, face_dims=None):
@@ -414,62 +374,30 @@ def polytope_cone_weights(p, face_dims=None):
         w = p.cone_weight(face)
         if w:
             out[face] = w
-    return ConeWeights(p.arr, out)
+    return ConeWeights._make(p.arr, out)
 
 
 # ---------------------------------------------------------------------------
 # classes in the polytope algebra
 
-class PiElement:
+class PiElement(Combination):
     """A formal rational combination of translation-normalized polytope
     classes.  Linear structure is formal; equality of classes is decided in
     cone-weight coordinates."""
 
-    __slots__ = ("arr", "terms")
+    __slots__ = ()
 
-    def __init__(self, arr, terms=None):
-        self.arr = arr
-        clean = {}
-        for p, c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            q = p.normalized()
-            clean[q] = clean.get(q, Fraction(0)) + c
-        self.terms = {p: c for p, c in clean.items() if c != 0}
+    @staticmethod
+    def _key(p):
+        return p.normalized()
 
     @classmethod
     def of(cls, p, coeff=1):
-        return cls(p.arr, {p: Fraction(coeff)})
+        return cls(p.arr, {p: coeff})
 
     @classmethod
     def one(cls, arr):
         return cls.of(_point(arr))
-
-    @classmethod
-    def zero(cls, arr):
-        return cls(arr, {})
-
-    def _check(self, other):
-        if self.arr != other.arr:
-            raise ValueError("classes over different arrangements")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return PiElement(self.arr, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return PiElement(self.arr, {p: v * c for p, v in self.terms.items()})
 
     def __mul__(self, other):
         """Product of classes: Minkowski sum on representatives."""
@@ -492,7 +420,7 @@ class PiElement:
 
     def degree0(self):
         """Coefficient of the point class in the degree decomposition."""
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values(), _ZERO)
 
     def act_face(self, face):
         """Module action of a single arrangement face: classwise maximization."""
@@ -507,7 +435,7 @@ class PiElement:
         if element.arr != self.arr:
             raise ValueError("acting element over a different arrangement")
         out = {}
-        for face, coeff in element.terms:
+        for face, coeff in element.terms.items():
             for p, c in self.terms.items():
                 q = p.face_max(face)
                 out[q] = out.get(q, 0) + coeff * c
@@ -517,15 +445,9 @@ class PiElement:
         """Cone-weight coordinates of the class."""
         out = {}
         for p, c in self.terms.items():
-            for face, w in polytope_cone_weights(p, face_dims).weights.items():
+            for face, w in polytope_cone_weights(p, face_dims).terms.items():
                 out[face] = out.get(face, 0) + w * c
-        return ConeWeights(self.arr, out)
-
-    def is_formally_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"PiElement({self.arr.kind}{self.arr.d}, {len(self.terms)} terms)"
+        return ConeWeights._make(self.arr, {f: w for f, w in out.items() if w})
 
 
 def _point(arr):
@@ -790,7 +712,7 @@ def psi1(p, face_dims=None):
             seg = _segment_length(p.verts[i], p.verts[j])
             if seg:
                 out[face] = seg
-    return ConeWeights(arr, out)
+    return ConeWeights._make(arr, out)
 
 
 # ---------------------------------------------------------------------------

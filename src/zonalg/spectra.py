@@ -21,44 +21,43 @@ from functools import lru_cache
 
 from . import arrangement as arrg
 from . import linalg, permstat, polyclass, titsalgebra
-from .arrangement import Arrangement, Flat
+from .arrangement import Flat
 from .gfseries import RatPoly, eulerian_A, eulerian_B
-from .polyclass import PiElement, VPolytope, log_class
+from .polyclass import PiElement, log_class
 
 
-@dataclass(frozen=True)
 class EtaTable:
-    arr: Arrangement
-    method: str
-    entries: tuple  # sorted tuple of ((Flat, r), value)
+    """Multiplicities by route: ``entries`` maps (flat, r) to its nonzero
+    value, flats in flats(arr) order and grades increasing within a flat."""
 
-    @classmethod
-    def from_dict(cls, arr, method, mapping):
-        items = sorted(
-            mapping.items(), key=lambda kv: (arrg._flat_sort_key(kv[0][0]), kv[0][1])
-        )
-        return cls(arr, method, tuple(items))
+    __slots__ = ("arr", "method", "entries")
+
+    def __init__(self, arr, method, values):
+        self.arr = arr
+        self.method = method
+        self.entries = {
+            (x, r): values[(x, r)]
+            for x in arrg.flats(arr)
+            for r in range(arr.d + 1)
+            if (x, r) in values
+        }
+        if len(self.entries) != len(values):
+            raise ValueError("eta entries outside the flats and grades of the arrangement")
 
     def value(self, flat, r):
-        for (x, rr), v in self.entries:
-            if x == flat and rr == r:
-                return v
-        return 0
-
-    def as_dict(self):
-        return dict(self.entries)
+        return self.entries.get((flat, r), 0)
 
     def row_sums(self):
         """Totals per grade r (must equal the h-numbers of the zonotope)."""
         out = {}
-        for (_, r), v in self.entries:
+        for (_, r), v in self.entries.items():
             out[r] = out.get(r, 0) + v
         return out
 
     def rows(self):
         return [
             {"flat": arrg.flat_str(x), "r": r, "value": v, "method": self.method}
-            for (x, r), v in self.entries
+            for (x, r), v in self.entries.items()
         ]
 
     def to_csv(self):
@@ -68,7 +67,7 @@ class EtaTable:
         return "\n".join(lines)
 
     def same_values(self, other):
-        return dict(self.entries) == dict(other.entries)
+        return self.entries == other.entries
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +88,7 @@ def _flat_h_product(flat):
     if arr.kind == arrg.KIND_B:
         zero, blocks = flat.data
         acc = eulerian_B(len(zero) // 2)
-        seen = set()
-        for b in blocks:
-            if b in seen:
-                continue
-            seen.add(b)
-            seen.add(frozenset(-e for e in b))
+        for b in arrg._pair_representatives(blocks):
             acc = acc * eulerian_A(len(b))
         return acc
     return RatPoly.of(1, 1) ** len(flat.data)
@@ -147,7 +141,7 @@ def eta_mobius(arr, check_geometric=False):
                 if c.denominator != 1 or c < 0:
                     raise AssertionError(f"eta value {c} not a nonnegative integer")
                 out[(x, r)] = int(c)
-    return EtaTable.from_dict(arr, "mobius_formula", out)
+    return EtaTable(arr, "mobius_formula", out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def eta_permutations(arr):
     out = {}
     for supp, r in stats:
         out[(supp, r)] = out.get((supp, r), 0) + 1
-    return EtaTable.from_dict(arr, "permutation_count", out)
+    return EtaTable(arr, "permutation_count", out)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ def eta_idempotent_rank(d):
                 tracker.add(_phi_vector(b.act(ex), face_order))
             if tracker.rank:
                 out[(x, r)] = tracker.rank
-    return EtaTable.from_dict(arr, "idempotent_rank", out)
+    return EtaTable(arr, "idempotent_rank", out)
 
 
 def eta_gamma_rank(d):
@@ -284,7 +278,7 @@ def eta_gamma_rank(d):
                 tracker.add(_phi_vector(b.act(ex), face_order))
             if tracker.rank:
                 out[(x, r)] = tracker.rank
-    return EtaTable.from_dict(arr, "idempotent_rank", out)
+    return EtaTable(arr, "idempotent_rank", out)
 
 
 def _y_product(arr, s):
@@ -405,7 +399,7 @@ def y_basis_cube(d):
             fixed = polyclass.pi_equal(y.act(fam[flat]), y)
             # inclusion-exclusion expansion over cube faces
             alt = PiElement.zero(arr)
-            for t in _subsets(s):
+            for t in arrg._subsets(s):
                 sign = (-1) ** (len(s) - len(t))
                 face = titsalgebra._first_orthant_face(arr, frozenset(t))
                 alt = alt + PiElement.of(cube.face_max(face), sign)
@@ -424,11 +418,6 @@ def y_basis_cube(d):
                 }
             )
     return {"d": d, "ok": ok_all and tracker.rank == 2 ** d, "records": records}
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +455,7 @@ def special_subsets(d):
     """Involution-exclusive subsets of [±d] containing the positive element
     of smallest absolute value."""
     out = []
-    for abs_vals in _subsets(tuple(range(1, d + 1))):
+    for abs_vals in arrg._subsets(tuple(range(1, d + 1))):
         if not abs_vals:
             continue
         rest = abs_vals[1:]
@@ -494,8 +483,7 @@ def _edge_weight_columns(arr, gens, gen_polys):
     face_order = [f for f in arrg.faces(arr) if f.dim == arr.d - 1]
     cols = []
     for g in gens:
-        w = polyclass.psi1(gen_polys[g])
-        cols.append([w.weights.get(f, Fraction(0)) for f in face_order])
+        cols.append(polyclass.psi1(gen_polys[g]).to_vector(face_order))
     return face_order, cols
 
 
@@ -517,8 +505,7 @@ def b_decompose(p):
         raise ValueError("type-B decompositions need a type-B deformation with d <= 4")
     family, gens, polys, face_order, cols = _b_system(d)
     rows = [[col[i] for col in cols] for i in range(len(face_order))]
-    target = polyclass.psi1(p)
-    rhs = [target.weights.get(f, Fraction(0)) for f in face_order]
+    rhs = polyclass.psi1(p).to_vector(face_order)
     sol = linalg.solve_unique(rows, rhs)
     return {g: c for g, c in zip(gens, sol)}
 
@@ -532,11 +519,7 @@ def _a_system(d):
         for s in itertools.combinations(range(1, d + 1), k)
     )
     polys = {s: polyclass.simplex(arr, s) for s in gens}
-    face_order = [f for f in arrg.faces(arr) if f.dim == arr.d - 1]
-    cols = []
-    for s in gens:
-        w = polyclass.psi1(polys[s])
-        cols.append([w.weights.get(f, Fraction(0)) for f in face_order])
+    face_order, cols = _edge_weight_columns(arr, gens, polys)
     return gens, polys, face_order, cols
 
 
@@ -547,8 +530,7 @@ def a_decompose(p):
         raise ValueError("type-A decompositions need a braid deformation with d <= 5")
     gens, polys, face_order, cols = _a_system(d)
     rows = [[col[i] for col in cols] for i in range(len(face_order))]
-    target = polyclass.psi1(p)
-    rhs = [target.weights.get(f, Fraction(0)) for f in face_order]
+    rhs = polyclass.psi1(p).to_vector(face_order)
     sol = linalg.solve_unique(rows, rhs)
     return {s: c for s, c in zip(gens, sol)}
 
@@ -567,14 +549,14 @@ def reconstruction_holds(p, coeffs, polys):
         else:
             rhs = piece if rhs is None else rhs.minkowski(piece)
     if rhs is None:
-        rhs = VPolytope(p.arr, [(Fraction(0),) * p.arr.d], assume_vertices=True)
+        rhs = polyclass._point(p.arr)
     return lhs.normalized() == rhs.normalized()
 
 
 def random_b_deformation(d, rng, max_terms=6):
     """A random nonnegative integral combination of the generator family."""
     family, gens, polys, _, _ = _b_system(d)
-    acc = VPolytope(arrg.type_b(d), [(Fraction(0),) * d], assume_vertices=True)
+    acc = polyclass._point(arrg.type_b(d))
     used = {}
     count = rng.randint(1, max_terms)
     for g in rng.sample(list(gens), min(count, len(gens))):

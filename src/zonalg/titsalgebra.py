@@ -5,12 +5,12 @@ explicit complete families of orthogonal idempotents indexed by flats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import arrangement as arrg
-from .arrangement import Arrangement, Face
+from .arrangement import Face
+from .linalg import Combination, to_integers
 
 _product_cache = {}
 
@@ -24,98 +24,45 @@ def _cached_product(f, g):
     return out
 
 
-def _clean(mapping):
-    return {k: v for k, v in mapping.items() if v != 0}
-
-
-@dataclass(frozen=True)
-class TitsElement:
+class TitsElement(Combination):
     """A sparse rational combination of faces, in the basis {H_F}."""
 
-    arr: Arrangement
-    terms: tuple  # sorted tuple of (Face, Fraction), no zero coefficients
-
-    @classmethod
-    def from_dict(cls, arr, mapping):
-        items = sorted(_clean(mapping).items(), key=lambda kv: arrg._face_sort_key(kv[0]))
-        return cls(arr, tuple(items))
+    __slots__ = ()
 
     @classmethod
     def basis(cls, face):
-        return cls(face.arr, ((face, Fraction(1)),))
+        return cls._make(face.arr, {face: Fraction(1)})
 
     @classmethod
     def unit(cls, arr):
         return cls.basis(arrg.central_face(arr))
-
-    @classmethod
-    def zero(cls, arr):
-        return cls(arr, ())
-
-    def coeff(self, face):
-        for f, c in self.terms:
-            if f == face:
-                return c
-        return Fraction(0)
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def _check(self, other):
-        if self.arr != other.arr:
-            raise ValueError("elements live over different arrangements")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for f, c in other.terms:
-            out[f] = out.get(f, Fraction(0)) + c
-        return TitsElement.from_dict(self.arr, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return TitsElement.zero(self.arr)
-        return TitsElement(self.arr, tuple((f, v * c) for f, v in self.terms))
 
     def __mul__(self, other):
         """Bilinear extension of the Tits product.  Both operands are scaled
         to integers first, so the sum per product face adds integers and
         divides once."""
         self._check(other)
-        den_a = lcm(*(a.denominator for _, a in self.terms))
-        den_b = lcm(*(b.denominator for _, b in other.terms))
-        left = [(f, a.numerator * (den_a // a.denominator)) for f, a in self.terms]
-        right = [(g, b.numerator * (den_b // b.denominator)) for g, b in other.terms]
+        den_a, ints_a = to_integers(list(self.terms.values()))
+        den_b, ints_b = to_integers(list(other.terms.values()))
+        right = list(zip(other.terms, ints_b))
         out = {}
-        for f, a in left:
+        for f, a in zip(self.terms, ints_a):
             for g, b in right:
                 fg = _cached_product(f, g)
                 out[fg] = out.get(fg, 0) + a * b
         den = den_a * den_b
-        return TitsElement.from_dict(self.arr, {fg: Fraction(v, den) for fg, v in out.items()})
-
-    def is_zero(self):
-        return not self.terms
+        return TitsElement._make(self.arr, {fg: Fraction(v, den) for fg, v in out.items() if v})
 
     def support_image(self):
         """Apply the support map coefficientwise; lands in the flats algebra."""
         out = {}
-        for f, c in self.terms:
+        for f, c in self.terms.items():
             x = arrg.support(f)
             out[x] = out.get(x, Fraction(0)) + c
-        return FlatsElement.from_dict(self.arr, out)
+        return FlatsElement(self.arr, out)
 
     def to_json(self):
-        return [
-            {"face": arrg.face_str(f), "coeff": str(c)} for f, c in self.terms
-        ]
+        return arrg.face_terms_json(self.terms)
 
     @classmethod
     def from_json(cls, arr, data):
@@ -123,63 +70,27 @@ class TitsElement:
         for item in data:
             f = arrg.parse_face(arr, item["face"])
             out[f] = out.get(f, Fraction(0)) + Fraction(item["coeff"])
-        return cls.from_dict(arr, out)
+        return cls(arr, out)
 
 
-@dataclass(frozen=True)
-class FlatsElement:
+class FlatsElement(Combination):
     """A sparse rational combination of flats (H basis of the flats algebra)."""
 
-    arr: Arrangement
-    terms: tuple
-
-    @classmethod
-    def from_dict(cls, arr, mapping):
-        items = sorted(_clean(mapping).items(), key=lambda kv: arrg._flat_sort_key(kv[0]))
-        return cls(arr, tuple(items))
+    __slots__ = ()
 
     @classmethod
     def basis(cls, flat):
-        return cls(flat.arr, ((flat, Fraction(1)),))
-
-    def coeff(self, flat):
-        for x, c in self.terms:
-            if x == flat:
-                return c
-        return Fraction(0)
-
-    def _check(self, other):
-        if self.arr != other.arr:
-            raise ValueError("elements live over different arrangements")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for x, c in other.terms:
-            out[x] = out.get(x, Fraction(0)) + c
-        return FlatsElement.from_dict(self.arr, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return FlatsElement(self.arr, ())
-        return FlatsElement(self.arr, tuple((x, v * c) for x, v in self.terms))
+        return cls._make(flat.arr, {flat: Fraction(1)})
 
     def __mul__(self, other):
         """H_X H_Y = H_{X v Y} extended bilinearly."""
         self._check(other)
         out = {}
-        for x, a in self.terms:
-            for y, b in other.terms:
+        for x, a in self.terms.items():
+            for y, b in other.terms.items():
                 j = arrg.flat_join(x, y)
                 out[j] = out.get(j, Fraction(0)) + a * b
-        return FlatsElement.from_dict(self.arr, out)
-
-    def is_zero(self):
-        return not self.terms
+        return FlatsElement(self.arr, out)
 
 
 def q_basis_element(flat):
@@ -187,7 +98,7 @@ def q_basis_element(flat):
     out = {}
     for y in arrg.flats_geq(flat):
         out[y] = Fraction(arrg.mobius(flat, y))
-    return FlatsElement.from_dict(flat.arr, out)
+    return FlatsElement(flat.arr, out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +107,7 @@ def q_basis_element(flat):
 def char_on_simple(w, flat):
     """Character of the simple module at a flat: sum of w^F over supp(F) <= X."""
     total = Fraction(0)
-    for f, c in w.terms:
+    for f, c in w.terms.items():
         if arrg.flat_leq(arrg.support(f), flat):
             total += c
     return total
@@ -222,30 +133,25 @@ def is_noncritical(arr, t):
 # ---------------------------------------------------------------------------
 # Eulerian families
 
-@dataclass(frozen=True)
 class EulerianFamily:
-    """A complete family of orthogonal idempotents indexed by flats."""
+    """A complete family of orthogonal idempotents indexed by flats:
+    ``elements`` maps each flat to its TitsElement, in flats(arr) order."""
 
-    arr: Arrangement
-    elements: tuple  # of (Flat, TitsElement), sorted like flats(arr)
+    __slots__ = ("arr", "elements")
 
-    @classmethod
-    def from_dict(cls, arr, mapping):
-        items = sorted(mapping.items(), key=lambda kv: arrg._flat_sort_key(kv[0]))
-        return cls(arr, tuple(items))
+    def __init__(self, arr, elements):
+        self.arr = arr
+        self.elements = elements
 
     def __getitem__(self, flat):
-        for x, e in self.elements:
-            if x == flat:
-                return e
-        raise KeyError(flat)
+        return self.elements[flat]
 
     def flats(self):
-        return [x for x, _ in self.elements]
+        return list(self.elements)
 
     def completeness_defect(self):
         total = TitsElement.zero(self.arr)
-        for _, e in self.elements:
+        for e in self.elements.values():
             total = total + e
         return total - TitsElement.unit(self.arr)
 
@@ -257,18 +163,18 @@ class EulerianFamily:
                 raise AssertionError(msg)
 
         demand(self.completeness_defect().is_zero(), "family does not sum to H_O")
-        for x, e in self.elements:
+        for x, e in self.elements.items():
             demand((e * e - e).is_zero(), f"E_{x} not idempotent")
             demand(e.support_image() == q_basis_element(x), f"supp(E_{x}) != Q_{x}")
             has_exact = False
-            for f, _c in e.terms:
+            for f in e.terms:
                 s = arrg.support(f)
                 demand(arrg.flat_leq(x, s), f"E_{x} has a term below its flat")
                 if s == x:
                     has_exact = True
             demand(has_exact, f"E_{x} vanishes on support {x}")
-        for x, e in self.elements:
-            for y, g in self.elements:
+        for x, e in self.elements.items():
+            for y, g in self.elements.items():
                 if x != y:
                     demand((e * g).is_zero(), f"E_{x} E_{y} != 0")
         return True
@@ -291,7 +197,7 @@ def adams_element(d, t):
         c = _binomial(t, f.dim)
         if c:
             out[f] = c
-    return TitsElement.from_dict(arr, out)
+    return TitsElement(arr, out)
 
 
 def adams_family(d):
@@ -315,8 +221,8 @@ def adams_family(d):
                     deg *= sum(1 for b in g.data if b <= block)
                 sign = -1 if (g.dim - f.dim) % 2 else 1
                 out[g] = out.get(g, Fraction(0)) + pref * Fraction(sign, deg)
-        family[x] = TitsElement.from_dict(arr, out)
-    return EulerianFamily.from_dict(arr, family)
+        family[x] = TitsElement(arr, out)
+    return EulerianFamily(arr, family)
 
 
 def _first_orthant_face(arr, zero_set):
@@ -337,7 +243,7 @@ def gamma_element(d, t):
         if any(s < 0 for s in f.data):
             continue
         out[f] = (t - 1) ** f.dim
-    return TitsElement.from_dict(arr, out)
+    return TitsElement(arr, out)
 
 
 def gamma_family(d, t):
@@ -359,14 +265,14 @@ def gamma_family(d, t):
                 f = _first_orthant_face(arr, frozenset(sub))
                 sign = -1 if (len(s) - r) % 2 else 1
                 out[f] = out.get(f, Fraction(0)) + sign
-        family[x] = TitsElement.from_dict(arr, out)
-    return gamma, EulerianFamily.from_dict(arr, family)
+        family[x] = TitsElement(arr, out)
+    return gamma, EulerianFamily(arr, family)
 
 
 def family_reconstructs(element, family, t):
     """True iff element = sum_X t^{dim X} E_X exactly."""
     t = Fraction(t)
     acc = TitsElement.zero(element.arr)
-    for x, e in family.elements:
+    for x, e in family.elements.items():
         acc = acc + e.scale(t ** x.dim)
     return (acc - element).is_zero()

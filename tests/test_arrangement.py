@@ -7,7 +7,6 @@ from zonalg.arrangement import (
     coordinate,
     faces,
     flats,
-    enumerate_faces,
     central_face,
     bottom_flat,
     top_flat,
@@ -30,7 +29,7 @@ from zonalg.arrangement import (
 
 
 def test_braid2_faces_in_order():
-    got = [face_str(f) for f in enumerate_faces(braid(2))]
+    got = [face_str(f) for f in faces(braid(2))]
     assert got == ["12", "1|2", "2|1"]
 
 
@@ -48,7 +47,7 @@ def test_flat_counts():
 
 
 def test_dim_filter():
-    chambers = enumerate_faces(braid(3), dim_filter=3)
+    chambers = [f for f in faces(braid(3)) if f.dim == 3]
     assert len(chambers) == 6
 
 

@@ -164,8 +164,8 @@ def test_lattice_volume_against_independent_oracles():
 
 def test_permutahedron_edges_are_primitive():
     w = psi1(permutahedron(3))
-    assert set(w.weights.values()) == {Fraction(1)}
-    assert len(w.weights) == 6
+    assert set(w.terms.values()) == {Fraction(1)}
+    assert len(w.terms) == 6
 
 
 def test_phi_of_interval_minus_point():
@@ -173,14 +173,14 @@ def test_phi_of_interval_minus_point():
     seg3 = VPolytope(arr, [(Fraction(0),), (Fraction(3),)], assume_vertices=True)
     x = PiElement.of(seg3) - PiElement.one(arr)
     w = x.phi()
-    assert w.weights == {central_face(arr): Fraction(3)}
+    assert w.terms == {central_face(arr): Fraction(3)}
 
 
 def test_log_of_segment_and_singleton():
     arr = coordinate(2)
     l1 = segment(arr, (1, 0))
     assert pi_equal(log_class(l1), PiElement.of(l1) - PiElement.one(arr))
-    assert log_class(simplex(braid(3), {2})).is_formally_zero()
+    assert log_class(simplex(braid(3), {2})).is_zero()
 
 
 def test_log_additivity_and_exp():
@@ -354,8 +354,8 @@ def test_psi1_of_simplex0_singleton():
     # the edge of Conv{0, e1} in type B lies on the flat x1 = 0's two rays
     arr = type_b(2)
     w = psi1(simplex0(arr, {1}))
-    faces = sorted(arrg.face_str(f) for f in w.weights)
-    assert all(v == 1 for v in w.weights.values())
+    faces = sorted(arrg.face_str(f) for f in w.terms)
+    assert all(v == 1 for v in w.terms.values())
     assert faces == ["-2|0:1 -1|2", "2|0:1 -1|-2"]
 
 
@@ -447,7 +447,7 @@ def test_normalized_is_shared_by_translates():
 
 def _act_oracle(x, element):
     acc = PiElement.zero(x.arr)
-    for face, coeff in element.terms:
+    for face, coeff in element.terms.items():
         acc = acc + x.act_face(face).scale(coeff)
     return acc
 
@@ -479,7 +479,7 @@ def test_act_matches_facewise_oracle(case):
     else:
         family, classes = gamma_family(3, 2)[1], _gamma_classes()
     for x in classes:
-        for _, e in family.elements:
+        for e in family.elements.values():
             got = x.act(e)
             want = _act_oracle(x, e)
             assert got.terms == want.terms

@@ -1,0 +1,149 @@
+"""Property-based tests: face and flat strings round-trip at every d up to
+12, and the sparse combinations obey the laws of a rational vector space."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from zonalg import arrangement as arrg
+from zonalg.arrangement import Arrangement, Face, braid, coordinate, type_b
+from zonalg.polyclass import (
+    PiElement,
+    cube,
+    permutahedron,
+    segment,
+    simplex,
+    simplex0,
+    typeB_permutahedron,
+)
+from zonalg.titsalgebra import FlatsElement, TitsElement
+
+_SETTINGS = settings(max_examples=150, deadline=None)
+_FEW = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def faces_up_to_12(draw, kind):
+    """A face of the kind's arrangement in R^d, d drawn from 1..12."""
+    d = draw(st.integers(1, 12))
+    arr = Arrangement(kind, d)
+    if kind == arrg.KIND_C:
+        return Face(arr, tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d))))
+    order = draw(st.permutations(range(1, d + 1)))
+    zero = ()
+    if kind == arrg.KIND_B:
+        nzero = draw(st.integers(0, d))
+        zero, order = order[:nzero], order[nzero:]
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(order), max_size=len(order)))
+        order = [e * s for e, s in zip(order, signs)]
+    cuts = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    blocks, block = [], []
+    for e, cut in zip(order, cuts):
+        block.append(e)
+        if cut:
+            blocks.append(frozenset(block))
+            block = []
+    if block:
+        blocks.append(frozenset(block))
+    if kind == arrg.KIND_A:
+        return Face(arr, tuple(blocks))
+    return Face(arr, (tuple(blocks), frozenset(zero) | frozenset(-e for e in zero)))
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_face_and_flat_strings_round_trip(kind, data):
+    face = data.draw(faces_up_to_12(kind))
+    arr = face.arr
+    assert arrg.parse_face(arr, arrg.face_str(face)) == face
+    flat = arrg.support(face)  # every flat is the support of a face
+    assert arrg.parse_flat(arr, arrg.flat_str(flat)) == flat
+
+
+def test_strings_from_d10_separate_every_element():
+    a10 = braid(10)
+    face = Face(a10, (frozenset({10}), frozenset(range(1, 10))))
+    assert arrg.face_str(face) == "10|1 2 3 4 5 6 7 8 9"
+    assert arrg.parse_face(a10, "10|1 2 3 4 5 6 7 8 9") == face
+    flat = arrg.support(face)
+    assert arrg.flat_str(flat) == "{1 2 3 4 5 6 7 8 9,10}"
+    assert arrg.parse_flat(a10, "{1 2 3 4 5 6 7 8 9,10}") == flat
+    b10 = type_b(10)
+    bface = Face(b10, ((frozenset({10}),), frozenset(e for i in range(1, 10) for e in (i, -i))))
+    assert arrg.face_str(bface).startswith("10|0:1 -1 ")
+    assert arrg.parse_face(b10, arrg.face_str(bface)) == bface
+    # up to d = 9 the digits still run together
+    assert arrg.face_str(Face(braid(9), (frozenset({9}), frozenset(range(1, 9))))) == "9|12345678"
+
+
+# ---------------------------------------------------------------------------
+# linear laws of the sparse combinations
+
+def _polytopes(arr):
+    if arr.kind == arrg.KIND_A:
+        pool = [permutahedron(3), simplex(arr, {1, 2}), simplex(arr, {1, 2, 3}), simplex(arr, {2})]
+    elif arr.kind == arrg.KIND_B:
+        pool = [typeB_permutahedron(2), simplex0(arr, {1, -2}), simplex(arr, {1, 2}), simplex0(arr, {2})]
+    else:
+        pool = [cube(3), segment(arr, (1, 0, 0)), segment(arr, (0, 2, 1)), cube(3).dilate(2)]
+    return pool + [p.translate((Fraction(1, 2),) + (Fraction(-1),) * (arr.d - 1)) for p in pool]
+
+
+_KEYS = {
+    "faces": lambda arr: arrg.faces(arr),
+    "flats": lambda arr: arrg.flats(arr),
+    "polytopes": _polytopes,
+}
+_TYPES = {"faces": TitsElement, "flats": FlatsElement, "polytopes": PiElement}
+_ARRS = (braid(3), type_b(2), coordinate(3))
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _combinations(kind, arr, n):
+    keys = list(_KEYS[kind](arr))
+    mapping = st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=6)
+    return st.lists(mapping.map(lambda m: _TYPES[kind](arr, m)), min_size=n, max_size=n)
+
+
+def _canonical(x):
+    return all(type(c) is Fraction and c != 0 for c in x.terms.values())
+
+
+@pytest.mark.parametrize("arr", _ARRS, ids=str)
+@pytest.mark.parametrize("kind", sorted(_KEYS))
+@_FEW
+@given(data=st.data())
+def test_linear_laws(kind, arr, data):
+    x, y, z = data.draw(_combinations(kind, arr, 3))
+    a, b = data.draw(_COEFFS), data.draw(_COEFFS)
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert (x + y).scale(a) == x.scale(a) + y.scale(a)
+    assert x.scale(a + b) == x.scale(a) + x.scale(b)
+    assert x - y == x + -y
+    diff = x - x
+    assert diff.is_zero() and diff.terms == {} and diff == type(x).zero(arr)
+    for w in (x, y + z, x - y, x.scale(a), -z):
+        assert _canonical(w)
+    absent = [k for k in _KEYS[kind](arr) if type(x)._key(k) not in x.terms]
+    for k in absent[:3]:
+        assert x.coeff(k) == 0
+    for k, c in x.terms.items():
+        assert x.coeff(k) == c
+
+
+@pytest.mark.parametrize("arr", _ARRS, ids=str)
+@_FEW
+@given(data=st.data())
+def test_translates_share_one_class_key(arr, data):
+    p = data.draw(st.sampled_from(_polytopes(arr)))
+    t = tuple(data.draw(st.lists(_COEFFS, min_size=arr.d, max_size=arr.d)))
+    assume(any(t))
+    a, b = data.draw(_COEFFS), data.draw(_COEFFS)
+    x = PiElement(arr, {p: a, p.translate(t): b})
+    assert list(x.terms) == ([p.normalized()] if a + b else [])
+    assert x.coeff(p) == x.coeff(p.translate(t)) == a + b
+    assert PiElement.of(p) - PiElement.of(p.translate(t)) == PiElement.zero(arr)

@@ -84,7 +84,7 @@ def test_degree_bound():
     # eta vanishes when grade + flat dimension exceed the ambient dimension
     for arr in (braid(4), type_b(3), coordinate(4)):
         em = eta_mobius(arr)
-        for (x, r), v in em.entries:
+        for (x, r), v in em.entries.items():
             if v:
                 assert r + x.dim <= arr.d
 
@@ -109,7 +109,7 @@ def test_simultaneous_eigenspace_totals():
             key = (len(s.supp().data), s.exc())
             counts[key] = counts.get(key, 0) + 1
         totals = {}
-        for (x, r), v in em.entries:
+        for (x, r), v in em.entries.items():
             totals[(x.dim, r)] = totals.get((x.dim, r), 0) + v
         assert totals == {k: v for k, v in counts.items() if v}
 
@@ -124,7 +124,7 @@ def test_simultaneous_eigenspace_totals_type_b():
             key = (s.supp().dim, s.exc_b())
             counts[key] = counts.get(key, 0) + 1
         totals = {}
-        for (x, r), v in em.entries:
+        for (x, r), v in em.entries.items():
             totals[(x.dim, r)] = totals.get((x.dim, r), 0) + v
         assert totals == {k: v for k, v in counts.items() if v}
 
