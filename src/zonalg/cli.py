@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import arrangement as arrg
-from . import gfseries, hopfgp, permstat, polyclass, spectra, titsalgebra
+from . import gfseries, hopfgp, linalg, permstat, polyclass, spectra, titsalgebra
 
 BOUNDS = {
     ("eta", "A"): 5,
@@ -181,8 +181,6 @@ def verify_b_gens(dmax=4, trials=10, seed=0):
             "full_dimensional": len(fam.full_dimensional()) == 2 ** (d - 1),
         }
         _, gens, polys, face_order, cols = spectra._b_system(d)
-        from . import linalg
-
         entry["full_column_rank"] = (
             linalg.rank([[col[i] for col in cols] for i in range(len(face_order))])
             == len(gens)

@@ -2,13 +2,15 @@
 the sparse rational combinations that every algebra of the package is built
 on.
 
-Everything here works on plain lists/tuples of ``fractions.Fraction`` (or
-``int``).  Matrices are sequences of rows.  No floating point anywhere.
+Matrices are sequences of rows of ``int`` or ``fractions.Fraction``.
+Elimination clears denominators and works on integer rows; ``Fraction``s
+appear only in the solutions it returns.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -100,26 +102,32 @@ def to_integers(values):
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _rref(rows, width):
-    """Row-reduce a copy of ``rows``; return (reduced rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Row-reduce ``rows`` over the integers; return (reduced rows, pivot
+    columns).  Each row is cleared of denominators, and each update
+    ``b*row - a*pivot_row`` is divided by the gcd of the row, so the rows
+    stay primitive and the pivots and zero pattern are those of Gauss-Jordan
+    elimination over the rationals."""
+    mat = [_primitive(to_integers(row)[1]) for row in rows]
     pivots = []
     r = 0
     for c in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        b = prow[c]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if a and i != r:
+                mat[i] = _primitive([b * x - a * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -136,20 +144,6 @@ def rank(rows, width=None):
     return len(_rref(rows, width)[0])
 
 
-def nullspace(rows, width):
-    """Basis (list of tuples) of {x : M x = 0} over the rationals."""
-    reduced, pivots = _rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(tuple(vec))
-    return basis
-
-
 def solve_unique(rows, rhs):
     """Solve M x = rhs; raise ValueError unless the solution exists and is unique."""
     rows = list(rows)
@@ -162,10 +156,7 @@ def solve_unique(rows, rhs):
         raise ValueError("inconsistent linear system")
     if len(pivots) < width:
         raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * width
-    for r, c in enumerate(pivots):
-        sol[c] = reduced[r][width]
-    return tuple(sol)
+    return tuple(Fraction(row[width], row[c]) for row, c in zip(reduced, pivots))
 
 
 class IncrementalRank:
@@ -176,20 +167,19 @@ class IncrementalRank:
 
     def __init__(self, width):
         self.width = width
-        self.rows = []  # reduced rows
+        self.rows = []  # primitive integer rows, each zero at the earlier pivots
         self.pivots = []
 
     def add(self, vec):
-        vec = [Fraction(x) for x in vec]
+        _, vec = to_integers(vec)
         for row, p in zip(self.rows, self.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
+            a = vec[p]
+            if a:
+                b = row[p]
+                vec = _primitive([b * x - a * y for x, y in zip(vec, row)])
         for c in range(self.width):
-            if vec[c] != 0:
-                inv = vec[c]
-                vec = [x / inv for x in vec]
-                self.rows.append(vec)
+            if vec[c]:
+                self.rows.append(_primitive(vec))
                 self.pivots.append(c)
                 return True
         return False
@@ -199,83 +189,35 @@ class IncrementalRank:
         return len(self.rows)
 
 
-def _clear_denominators(row):
-    _, ints = to_integers(row)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def integer_kernel(int_rows, width):
-    """Basis of the saturated lattice {x in Z^width : M x = 0}.
-
-    Column-style reduction with unimodular bookkeeping, so the result is a
-    genuine Z-basis of the kernel lattice (not merely a finite-index sublattice).
-    """
-    basis = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
-    for row in int_rows:
-        vals = [sum(r * b for r, b in zip(row, col)) for col in basis]
-        while True:
-            nz = [i for i, v in enumerate(vals) if v != 0]
-            if len(nz) <= 1:
-                break
-            i = min(nz, key=lambda k: abs(vals[k]))
-            for j in nz:
-                if j == i:
-                    continue
-                q = vals[j] // vals[i]
-                if q:
-                    basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-                    vals[j] -= q * vals[i]
-        nz = [i for i, v in enumerate(vals) if v != 0]
-        if nz:
-            del basis[nz[0]]
-    return [tuple(col) for col in basis]
-
-
-def span_lattice_basis(diffs, width):
-    """Z-basis of span_Q(diffs) ∩ Z^width, for rational ``diffs``.
-
-    Used to normalize volumes: coordinates of a face are taken with respect
-    to this basis of the induced lattice of its linear span.
-    """
-    diffs = [tuple(Fraction(x) for x in v) for v in diffs]
-    forms = nullspace(diffs, width) if diffs else [
-        tuple(Fraction(1 if i == j else 0) for i in range(width)) for j in range(width)
-    ]
-    if not forms:
-        return [tuple(1 if i == j else 0 for i in range(width)) for j in range(width)]
-    int_forms = [_clear_denominators(f) for f in forms]
-    return integer_kernel(int_forms, width)
-
-
-def coords_in_basis(basis_rows, vec):
-    """Coordinates of ``vec`` in the row basis (vec must lie in its span)."""
-    cols = [[row[i] for row in basis_rows] for i in range(len(vec))]
-    return solve_unique(cols, list(vec))
-
-
 def det(rows):
-    """Determinant of a square rational matrix (fraction Gaussian elimination)."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            result = -result
-        result *= mat[c][c]
-        inv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return result
+    """Determinant of a square integer matrix (Bareiss elimination, every
+    division exact)."""
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            pivot = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        pk = mat[k]
+        for row in mat[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk[k] - row[k] * pk[j]) // prev
+        prev = pk[k]
+    return sign * mat[-1][-1] if n else 1
+
+
+def lattice_index(rows):
+    """gcd of the maximal minors of an integer matrix with r rows: the index
+    of the lattice the rows span in (their rational span) ∩ Z^d when they are
+    independent, else 0.  This is the normalized volume of the
+    parallelepiped on the rows, r! times that of the simplex they span."""
+    if not rows:
+        return 1
+    return gcd(*(
+        det([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(len(rows[0])), len(rows))
+    ))

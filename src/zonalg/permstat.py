@@ -164,27 +164,6 @@ class SignedPermutation:
         return "".join(f"({' '.join(str(x) for x in c)})" for c in self.cycles())
 
 
-def parse_signed_cycles(d, text):
-    """Parse cycle notation like "(1)(-1)(2 -2)(3 4 -3 -4)"."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for chunk in text[1:-1].split(")("):
-        cycles.append(tuple(int(t) for t in chunk.split()))
-    # keep only one representative of each mirrored pair
-    seen = set()
-    uniq = []
-    for cyc in cycles:
-        s = frozenset(cyc)
-        if s in seen:
-            continue
-        seen.add(s)
-        seen.add(frozenset(-e for e in s))
-        uniq.append(cyc)
-    return SignedPermutation.from_cycles(d, uniq)
-
-
 def stats(sigma):
     return {"exc": sigma.exc(), "des": sigma.des(), "supp": sigma.supp()}
 
@@ -218,29 +197,6 @@ def exc_prec(cycle):
         if _prec_key(b) > _prec_key(a):
             count += 1
     return count
-
-
-def cycle_through(sigma, start):
-    """The cycle of ``sigma`` through ``start`` as a tuple."""
-    cyc = [start]
-    nxt = sigma(start)
-    while nxt != start:
-        cyc.append(nxt)
-        nxt = sigma(nxt)
-    return tuple(cyc)
-
-
-def restrict_to_zero_block(sigma):
-    """Restriction of a signed permutation to the zero block of its support,
-    relabeled as a signed permutation of {1..k}."""
-    zero, _blocks = sigma.supp().data
-    abs_z = sorted({abs(e) for e in zero})
-    relabel = {a: i + 1 for i, a in enumerate(abs_z)}
-    imgs = []
-    for a in abs_z:
-        v = sigma(a)
-        imgs.append(relabel[abs(v)] * (1 if v > 0 else -1))
-    return SignedPermutation(tuple(imgs)) if imgs else None
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +243,6 @@ class IncreasingForest:
 
     def leaves(self):
         return sum(t.leaves() for t in self.trees)
-
-    def node_sets(self):
-        return frozenset(frozenset(t.nodes()) for t in self.trees)
 
     def leaf_paths(self):
         """For each leaf (left to right, trees by root), the node set of the

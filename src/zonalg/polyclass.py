@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from fractions import Fraction
-from math import factorial, gcd
+from functools import lru_cache
+from math import factorial
 
 from . import arrangement as arrg
 from . import linalg
@@ -34,30 +36,32 @@ class NotDeformationError(ValueError):
     """The given points are not the vertices of a deformation of the zonotope."""
 
 
-_INTERN = {}
+# (arr, vertices) -> the live polytope with these vertices
+_INTERN = weakref.WeakValueDictionary()
 
 
+@lru_cache(maxsize=None)
 def _chamber_vectors(arr):
-    key = ("chambers", arr)
-    out = _INTERN.get(key)
-    if out is None:
-        out = tuple(
-            tuple(int(c) for c in arrg.interior_point(ch)) for ch in arrg.chambers(arr)
-        )
-        _INTERN[key] = out
-    return out
+    return tuple(_face_vector(ch) for ch in arrg.chambers(arr))
+
+
+@lru_cache(maxsize=None)
+def _face_vector(face):
+    """The integer interior point of an arrangement face."""
+    return tuple(int(c) for c in arrg.interior_point(face))
 
 
 class VPolytope:
     """A polytope given by its exact vertex set, tagged by the arrangement.
 
-    Polytopes are interned: building one equal to an existing polytope
-    (same arrangement, same vertex set) returns that object, so equality
-    and hashing are by identity.
+    Polytopes are interned: building one equal to a live polytope (same
+    arrangement, same vertex set) returns that object, so equality and
+    hashing are by identity.  ``_ipts`` are the vertices scaled by ``_den``
+    to integers.
     """
 
     __slots__ = (
-        "arr", "verts", "_ipts", "_dim", "_face_sets", "_face_cache",
+        "arr", "verts", "_den", "_ipts", "_dim", "_face_sets", "_face_cache",
         "_lattice", "_children", "_volumes", "_weights", "_normal", "__weakref__",
     )
 
@@ -77,7 +81,7 @@ class VPolytope:
             self = object.__new__(cls)
             self.arr = arr
             self.verts = verts
-            self._ipts = _int_coords(verts)
+            self._den, self._ipts = _int_coords(verts)
             self._dim = None
             self._face_sets = {}
             self._face_cache = {}
@@ -97,10 +101,23 @@ class VPolytope:
     @property
     def dim(self):
         if self._dim is None:
-            base = self.verts[0]
-            diffs = [tuple(a - b for a, b in zip(v, base)) for v in self.verts[1:]]
-            self._dim = linalg.rank(diffs, self.arr.d) if diffs else 0
+            self._dim = self._face_dim(frozenset(range(len(self.verts))))
         return self._dim
+
+    def _edges(self, idx):
+        """Integer edge matrix of the vertices ``idx`` (scaled by ``_den``),
+        from the first of them to the others."""
+        ipts = self._ipts
+        base = ipts[idx[0]]
+        return [[a - b for a, b in zip(ipts[i], base)] for i in idx[1:]]
+
+    def _face_dim(self, fs):
+        """Dimension of the face with vertex indices ``fs``."""
+        if len(fs) <= 2:
+            return len(fs) - 1
+        if self._lattice is not None:
+            return self._lattice[fs]
+        return linalg.rank(self._edges(sorted(fs)))
 
     # -- faces ------------------------------------------------------------
 
@@ -113,8 +130,7 @@ class VPolytope:
         arrangement face."""
         fs = self._face_sets.get(face)
         if fs is None:
-            w = tuple(int(c) for c in arrg.interior_point(face))
-            fs = self.argmax_set(w)
+            fs = self.argmax_set(_face_vector(face))
             self._face_sets[face] = fs
         return fs
 
@@ -137,7 +153,7 @@ class VPolytope:
             for face in arrg.faces(self.arr):
                 fs = self.face_set(face)
                 if fs not in lat:
-                    lat[fs] = _subset_dim(self, fs)
+                    lat[fs] = self._face_dim(fs)
             self._lattice = lat
         return self._lattice
 
@@ -185,36 +201,16 @@ class VPolytope:
 
     def face_volume(self, fs):
         """Normalized volume of a face: Euclidean volume in coordinates of a
-        lattice basis of (span of the face) intersected with Z^d."""
+        lattice basis of (span of the face) intersected with Z^d.  Over the
+        simplices of a triangulation, that is the sum of the gcds of the
+        r x r minors of their integer edge matrices, over r! den^r."""
         vol = self._volumes.get(fs)
-        if vol is not None:
-            return vol
-        r = self.lattice()[fs]
-        if r == 0:
-            vol = Fraction(1)
-        elif r == 1:
-            a, b = (self.verts[i] for i in sorted(fs))
-            vol = _segment_length(a, b)
-        else:
-            idx = sorted(fs)
-            base_pt = self.verts[idx[0]]
-            diffs = [
-                tuple(a - b for a, b in zip(self.verts[i], base_pt)) for i in idx[1:]
-            ]
-            basis = linalg.span_lattice_basis(diffs, self.arr.d)
-            coords = {}
-            for i in fs:
-                vec = tuple(a - b for a, b in zip(self.verts[i], base_pt))
-                coords[i] = linalg.coords_in_basis(basis, vec)
-            vol = Fraction(0)
-            for simplex in self._simplices(fs):
-                rows = [
-                    [a - b for a, b in zip(coords[i], coords[simplex[0]])]
-                    for i in simplex[1:]
-                ]
-                vol += abs(linalg.det(rows))
-            vol /= factorial(r)
-        self._volumes[fs] = vol
+        if vol is None:
+            r = self._face_dim(fs)
+            simplices = [sorted(fs)] if len(fs) == r + 1 else self._simplices(fs)
+            total = sum(linalg.lattice_index(self._edges(s)) for s in simplices)
+            vol = Fraction(total, factorial(r) * self._den ** r)
+            self._volumes[fs] = vol
         return vol
 
     def cone_weight(self, face):
@@ -223,19 +219,10 @@ class VPolytope:
         w = self._weights.get(face)
         if w is None:
             fs = self.face_set(face)
-            qdim = self.lattice()[fs] if self._lattice else _subset_dim(self, fs)
-            if qdim == self.arr.d - face.dim:
-                if qdim <= 1:
-                    if qdim == 0:
-                        w = Fraction(1)
-                    else:
-                        a, b = (self.verts[i] for i in sorted(fs))
-                        w = _segment_length(a, b)
-                else:
-                    self.lattice()
-                    w = self.face_volume(fs)
+            if self._face_dim(fs) == self.arr.d - face.dim:
+                w = self.face_volume(fs)
             else:
-                w = Fraction(0)
+                w = _ZERO
             self._weights[face] = w
         return w
 
@@ -293,9 +280,11 @@ def _dedup(points):
 
 
 def _int_coords(verts):
+    """(den, points): the least common denominator of the coordinates and
+    the points scaled by it to integers."""
     d = len(verts[0])
-    _, ints = to_integers([c for v in verts for c in v])
-    return tuple(tuple(ints[i:i + d]) for i in range(0, len(ints), d))
+    den, ints = to_integers([c for v in verts for c in v])
+    return den, tuple(tuple(ints[i:i + d]) for i in range(0, len(ints), d))
 
 
 def _argmax(ipts, w):
@@ -306,7 +295,7 @@ def _argmax(ipts, w):
 
 
 def _extract_vertices(arr, pts):
-    ipts = _int_coords(pts)
+    _, ipts = _int_coords(pts)
     chosen = set()
     for w in _chamber_vectors(arr):
         best_idx = _argmax(ipts, w)
@@ -319,25 +308,11 @@ def _extract_vertices(arr, pts):
     return tuple(sorted(pts[i] for i in chosen))
 
 
-def _subset_dim(p, fs):
-    idx = sorted(fs)
-    base = p.verts[idx[0]]
-    diffs = [tuple(a - b for a, b in zip(p.verts[i], base)) for i in idx[1:]]
-    return linalg.rank(diffs, p.arr.d) if diffs else 0
-
-
-def _segment_length(a, b):
-    """Lattice-normalized length of a segment: b - a as a multiple of the
-    primitive integer vector in its direction."""
-    den, iv = to_integers([x - y for x, y in zip(b, a)])
-    return Fraction(gcd(*iv), den)
-
-
 def check_deformation(p):
     """Debug check: the argmax vertex set at every arrangement face must not
     depend on the choice of interior point."""
     for face in arrg.faces(p.arr):
-        w0 = tuple(int(c) for c in arrg.interior_point(face, variant=0))
+        w0 = _face_vector(face)
         _, w1 = to_integers(arrg.interior_point(face, variant=1))
         if p.argmax_set(w0) != p.argmax_set(w1):
             raise NotDeformationError(
@@ -354,9 +329,6 @@ class ConeWeights(Combination):
     """Sparse rational weights on the faces of an arrangement."""
 
     __slots__ = ()
-
-    def support_dims(self):
-        return sorted({f.dim for f in self.terms})
 
     def to_vector(self, face_order):
         return [self.terms.get(f, _ZERO) for f in face_order]
@@ -457,7 +429,6 @@ def _point(arr):
 def lattice_volume(q):
     """Normalized volume of a polytope given by its vertex set: Euclidean
     volume in coordinates of a lattice basis of its linear span over Z^d."""
-    q.lattice()
     return q.face_volume(frozenset(range(len(q.verts))))
 
 
@@ -608,17 +579,6 @@ def zonotope_of(arr):
     return acc
 
 
-def zonotope_face(arr, flat):
-    """The summand of the zonotope over the hyperplanes containing a flat."""
-    some_face = arrg.faces_with_support(arr, flat)[0]
-    ip = arrg.interior_point(some_face)
-    acc = _point(arr)
-    for v in hyperplane_normals(arr):
-        if sum(a * b for a, b in zip(v, ip)) == 0:
-            acc = acc.minkowski(segment(arr, v))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # slicing (generates valuation relations)
 
@@ -694,25 +654,13 @@ def valuation_relation(p, form, c, check=True):
 # ---------------------------------------------------------------------------
 # degree-1 weights (edge lengths), computed without expanding the log
 
-def psi1(p, face_dims=None):
+def psi1(p):
     """Cone weights of log[p]: lattice edge lengths on complementary faces.
 
-    Equals phi(log_class(p)) restricted to faces of dimension d-1; computed
-    directly from the edges for speed.
+    Equals phi(log_class(p)) restricted to faces of dimension d-1, which
+    are the cone weights of [p] there.
     """
-    arr = p.arr
-    out = {}
-    target = arr.d - 1
-    for face in arrg.faces(arr):
-        if face.dim != target:
-            continue
-        fs = p.face_set(face)
-        if len(fs) == 2:
-            i, j = sorted(fs)
-            seg = _segment_length(p.verts[i], p.verts[j])
-            if seg:
-                out[face] = seg
-    return ConeWeights._make(arr, out)
+    return polytope_cone_weights(p, {p.arr.d - 1})
 
 
 # ---------------------------------------------------------------------------

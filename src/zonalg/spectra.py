@@ -54,18 +54,6 @@ class EtaTable:
             out[r] = out.get(r, 0) + v
         return out
 
-    def rows(self):
-        return [
-            {"flat": arrg.flat_str(x), "r": r, "value": v, "method": self.method}
-            for (x, r), v in self.entries.items()
-        ]
-
-    def to_csv(self):
-        lines = ["flat,r,value,method"]
-        for row in self.rows():
-            lines.append(f"\"{row['flat']}\",{row['r']},{row['value']},{row['method']}")
-        return "\n".join(lines)
-
     def same_values(self, other):
         return self.entries == other.entries
 

@@ -64,14 +64,6 @@ class TitsElement(Combination):
     def to_json(self):
         return arrg.face_terms_json(self.terms)
 
-    @classmethod
-    def from_json(cls, arr, data):
-        out = {}
-        for item in data:
-            f = arrg.parse_face(arr, item["face"])
-            out[f] = out.get(f, Fraction(0)) + Fraction(item["coeff"])
-        return cls(arr, out)
-
 
 class FlatsElement(Combination):
     """A sparse rational combination of flats (H basis of the flats algebra)."""

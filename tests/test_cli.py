@@ -37,6 +37,18 @@ def test_eta_cube_flat(capsys):
     assert payload["rows"] == [{"flat": "X_{1,3}", "r": 2, "value": 1}]
 
 
+def test_eta_csv(capsys):
+    from zonalg.arrangement import braid, flat_str
+    from zonalg.spectra import eta_mobius
+
+    code, out, _ = run_cli(capsys, "eta", "--type", "A", "--d", "3", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "flat,r,value"
+    entries = eta_mobius(braid(3)).entries
+    assert lines[1:] == [f'"{flat_str(x)}","{r}","{v}"' for (x, r), v in entries.items()]
+
+
 def test_eta_bound_is_input_error(capsys):
     code, _, err = run_cli(capsys, "eta", "--type", "A", "--d", "9")
     assert code == 2

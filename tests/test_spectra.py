@@ -269,14 +269,6 @@ def test_a_decompose_round_trip_random():
         assert all(coeffs.get(s, 0) == used.get(s, 0) for s in gens)
 
 
-def test_eta_table_serialization():
-    em = eta_mobius(braid(3))
-    rows = em.rows()
-    assert all(set(r) == {"flat", "r", "value", "method"} for r in rows)
-    csv = em.to_csv()
-    assert csv.splitlines()[0] == "flat,r,value,method"
-
-
 def test_bound_guards():
     from zonalg.permstat import BoundExceededError
 
