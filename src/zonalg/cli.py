@@ -89,6 +89,14 @@ def verify_thm_b(dmax=4):
             "eta_bottom_grade1": bottom,
             "lower_bound_2^(d-1)": bottom == 2 ** (d - 1),
         }
+        if not ok:
+            x, r = em.first_difference(ep)
+            entry["first_mismatch"] = {
+                "flat": arrg.flat_str(x),
+                "r": r,
+                "mobius": em.value(x, r),
+                "permutations": ep.value(x, r),
+            }
         entry["ok"] = ok and entry["lower_bound_2^(d-1)"]
         results.append(entry)
     return {"suite": "thm-b", "results": results, "ok": all(r["ok"] for r in results)}
@@ -99,13 +107,20 @@ def verify_cube(dmax=5, rank_dmax=4):
     for d in range(1, dmax + 1):
         arr = arrg.coordinate(d)
         em = spectra.eta_mobius(arr)
-        ok = True
-        for x in arrg.flats(arr):
-            for r in range(0, d + 1):
-                want = 1 if r == len(x.data) else 0
-                if em.value(x, r) != want:
-                    ok = False
+        indicator = spectra.EtaTable(
+            arr, "indicator", {(x, len(x.data)): 1 for x in arrg.flats(arr)}
+        )
+        first = em.first_difference(indicator)
+        ok = first is None
         entry = {"d": d, "mobius_indicator": ok}
+        if not ok:
+            x, r = first
+            entry["first_mismatch"] = {
+                "flat": arrg.flat_str(x),
+                "r": r,
+                "value": em.value(x, r),
+                "want": indicator.value(x, r),
+            }
         if d <= rank_dmax:
             er = spectra.eta_gamma_rank(d)
             entry["gamma_rank_agrees"] = er.same_values(em)

@@ -386,15 +386,13 @@ def _cyclic_excedance_poly(d):
 @lru_cache(maxsize=None)
 def _perm_stats(d):
     """((#blocks of supp, exc), count) over S_d, from one enumeration."""
-    tally = Counter((len(s.supp().data), s.exc()) for s in permstat.symmetric_group(d))
-    return tuple(sorted(tally.items()))
+    return tuple(sorted(permstat.supp_exc_tally("S", d).items()))
 
 
 @lru_cache(maxsize=None)
 def _signed_stats(d):
     """((dim of supp, exc_B), count) over B_d, from one enumeration."""
-    tally = Counter((s.supp().dim, s.exc_b()) for s in permstat.hyperoctahedral_group(d))
-    return tuple(sorted(tally.items()))
+    return tuple(sorted(permstat.supp_exc_tally("B", d).items()))
 
 
 def _tally_poly(tally, t):

@@ -9,7 +9,9 @@ values.  Supports are returned as flats of the matching arrangement.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .arrangement import Flat, braid, type_b
@@ -308,22 +310,32 @@ def perm_of(forest):
 # ---------------------------------------------------------------------------
 # enumeration (the brute-force oracle)
 
-def symmetric_group(d):
-    bound = env_int("ZONALG_MAX_SYMMETRIC", 8)
+_BOUNDS = {"S": ("ZONALG_MAX_SYMMETRIC", 8), "B": ("ZONALG_MAX_HYPEROCTAHEDRAL", 6)}
+
+
+def _check_bound(group, d):
+    """Raise BoundExceededError when S_d or B_d (``group`` "S" or "B") is past
+    the bound its ZONALG_MAX_* variable sets."""
+    name, default = _BOUNDS[group]
+    bound = env_int(name, default)
     if d > bound:
-        raise BoundExceededError(f"S_{d} exceeds the bound {bound}")
+        raise BoundExceededError(f"{group}_{d} exceeds the bound {bound}")
+
+
+def _signed_images(d):
+    """The image tuples of B_d: each permutation of [d] under each sign vector."""
+    for p in itertools.permutations(range(1, d + 1)):
+        yield from itertools.product(*[(v, -v) for v in p])
+
+
+def symmetric_group(d):
+    _check_bound("S", d)
     return [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
 
 
 def hyperoctahedral_group(d):
-    bound = env_int("ZONALG_MAX_HYPEROCTAHEDRAL", 6)
-    if d > bound:
-        raise BoundExceededError(f"B_{d} exceeds the bound {bound}")
-    out = []
-    for p in itertools.permutations(range(1, d + 1)):
-        for signs in itertools.product((1, -1), repeat=d):
-            out.append(SignedPermutation(tuple(v * s for v, s in zip(p, signs))))
-    return out
+    _check_bound("B", d)
+    return [SignedPermutation(t) for t in _signed_images(d)]
 
 
 def enumerate_group(group, d, supp=None, exc=None, exc_b=None):
@@ -354,3 +366,54 @@ def enumerate_group(group, d, supp=None, exc=None, exc_b=None):
             out.append(s)
         return out
     raise ValueError(f"unknown group {group!r}")
+
+
+# ---------------------------------------------------------------------------
+# object-free statistics: the tallies of the series identities, read straight
+# off the image tuples (the element objects above are their oracle)
+
+def _cycles_exc(images):
+    """(number of cycles, exc) of the permutation with these images: the
+    number of blocks of supp(sigma) and its excedance number."""
+    d = len(images)
+    seen = [False] * (d + 1)
+    cycles = 0
+    for i in range(1, d + 1):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = images[i - 1]
+    return cycles, sum(map(operator.gt, images, range(1, d + 1)))
+
+
+def _supp_dim_exc_b(images):
+    """(dim supp, exc_B) of the signed permutation with these images.  The
+    cycle through i either comes back to i, and with its mirror image makes
+    one +- pair of blocks of supp, or reaches -i first and lies in the zero
+    block; so dim supp counts the cycles of the first kind."""
+    d = len(images)
+    sigma = (0,) + images + tuple(map(operator.neg, reversed(images)))  # sigma[-i] = -sigma(i)
+    seen = [False] * (d + 1)
+    pairs = 0
+    for i in range(1, d + 1):
+        if seen[i]:
+            continue
+        j = sigma[i]
+        while j != i and j != -i:
+            seen[abs(j)] = True
+            j = sigma[j]
+        pairs += j == i
+    exc = sum(map(operator.gt, images, range(1, d + 1)))
+    fneg = sum(map(operator.lt, images, itertools.repeat(0)))
+    return pairs, (2 * exc + fneg + 1) // 2
+
+
+def supp_exc_tally(group, d):
+    """Counter of (dim supp, exc) over S_d (``group`` "S") or of
+    (dim supp, exc_B) over B_d ("B"), without building element objects;
+    bounded like ``symmetric_group`` and ``hyperoctahedral_group``."""
+    _check_bound(group, d)
+    if group == "S":
+        return Counter(map(_cycles_exc, itertools.permutations(range(1, d + 1))))
+    return Counter(map(_supp_dim_exc_b, _signed_images(d)))

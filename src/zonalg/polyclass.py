@@ -23,7 +23,7 @@ import operator
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import arrangement as arrg
 from . import linalg
@@ -403,23 +403,40 @@ class PiElement(Combination):
         return PiElement(self.arr, out)
 
     def act(self, element):
-        """Module action of a face sum (bilinear extension)."""
+        """Module action of a face sum (bilinear extension).  Both coefficient
+        lists are scaled to integers, so each class adds integers and divides
+        once."""
         if element.arr != self.arr:
             raise ValueError("acting element over a different arrangement")
+        den_e, ints_e = to_integers(list(element.terms.values()))
+        den_p, ints_p = to_integers(list(self.terms.values()))
+        mine = list(zip(self.terms, ints_p))
         out = {}
-        for face, coeff in element.terms.items():
-            for p, c in self.terms.items():
+        for face, a in zip(element.terms, ints_e):
+            for p, b in mine:
                 q = p.face_max(face)
-                out[q] = out.get(q, 0) + coeff * c
-        return PiElement(self.arr, out)
+                out[q] = out.get(q, 0) + a * b
+        # merge translates as the constructor would, still in integers
+        terms = {}
+        for q, v in out.items():
+            if v:
+                k = q.normalized()
+                terms[k] = terms.get(k, 0) + v
+        den = den_e * den_p
+        return PiElement._make(self.arr, {k: Fraction(v, den) for k, v in terms.items() if v})
 
     def phi(self, face_dims=None):
-        """Cone-weight coordinates of the class."""
+        """Cone-weight coordinates of the class.  Coefficients and weights are
+        scaled to integers, so each face adds integers and divides once."""
+        den_c, ints_c = to_integers(list(self.terms.values()))
+        weights = [polytope_cone_weights(p, face_dims).terms for p in self.terms]
+        den_w = lcm(*[w.denominator for ws in weights for w in ws.values()])
         out = {}
-        for p, c in self.terms.items():
-            for face, w in polytope_cone_weights(p, face_dims).terms.items():
-                out[face] = out.get(face, 0) + w * c
-        return ConeWeights._make(self.arr, {f: w for f, w in out.items() if w})
+        for ws, c in zip(weights, ints_c):
+            for face, w in ws.items():
+                out[face] = out.get(face, 0) + w.numerator * (den_w // w.denominator) * c
+        den = den_c * den_w
+        return ConeWeights._make(self.arr, {f: Fraction(v, den) for f, v in out.items() if v})
 
 
 def _point(arr):

@@ -57,6 +57,15 @@ class EtaTable:
     def same_values(self, other):
         return self.entries == other.entries
 
+    def first_difference(self, other):
+        """The first (flat, r), in the order of ``entries``, at which the two
+        tables differ, or None when they agree."""
+        for x in arrg.flats(self.arr):
+            for r in range(self.arr.d + 1):
+                if self.value(x, r) != other.value(x, r):
+                    return x, r
+        return None
+
 
 # ---------------------------------------------------------------------------
 # route 1: Möbius sums of h-polynomials

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from zonalg.cli import main
+from zonalg import arrangement as arrg
+from zonalg import spectra
+from zonalg.cli import main, verify_cube, verify_thm_b
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,30 @@ def test_bad_env_value_does_not_break_import():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("ZONALG_MAX_SYMMETRIC", "5", "error: S_6 exceeds the bound 5"),
+        ("ZONALG_MAX_HYPEROCTAHEDRAL", "3", "error: B_4 exceeds the bound 3"),
+    ],
+)
+def test_verify_gf_past_group_bound_exits_2(name, value, message):
+    # a fresh interpreter, so that no tally cached by an earlier test hides the bound
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env[name] = value
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonalg", "verify", "gf"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip() == message
+
+
 SUITES_WITH_D = ("thm-a", "thm-b", "brenti", "idempotents", "conjecture", "b-gens", "hopf", "cube")
 
 
@@ -190,3 +216,47 @@ def test_invalid_flat_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def _raised(table, x, r):
+    """A copy of an eta table with the entry at (x, r) raised by one."""
+    values = dict(table.entries)
+    values[(x, r)] = values.get((x, r), 0) + 1
+    return spectra.EtaTable(table.arr, table.method, values)
+
+
+def test_verify_thm_b_names_first_mismatch(monkeypatch):
+    arr = arrg.type_b(3)
+    x = arrg.flats(arr)[5]
+    want = spectra.eta_mobius(arr).value(x, 1)
+    real = spectra.eta_permutations
+    monkeypatch.setattr(
+        spectra, "eta_permutations", lambda a: _raised(real(a), x, 1) if a == arr else real(a)
+    )
+    report = verify_thm_b(3)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good["ok"] and "first_mismatch" not in good
+    assert bad["mobius_vs_permutations"] is False
+    assert bad["first_mismatch"] == {
+        "flat": arrg.flat_str(x),
+        "r": 1,
+        "mobius": want,
+        "permutations": want + 1,
+    }
+
+
+def test_verify_cube_names_first_mismatch(monkeypatch):
+    arr = arrg.coordinate(3)
+    x = arrg.flats(arr)[3]
+    r = len(x.data)
+    real = spectra.eta_mobius
+    monkeypatch.setattr(
+        spectra, "eta_mobius", lambda a: _raised(real(a), x, r) if a == arr else real(a)
+    )
+    report = verify_cube(3, 2)
+    assert report["ok"] is False
+    assert all(e["ok"] and "first_mismatch" not in e for e in report["results"][:2])
+    bad = report["results"][2]
+    assert bad["mobius_indicator"] is False
+    assert bad["first_mismatch"] == {"flat": arrg.flat_str(x), "r": r, "value": 2, "want": 1}

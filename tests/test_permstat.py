@@ -1,6 +1,10 @@
 import pytest
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonalg import gfseries
 from zonalg.arrangement import braid, type_b, parse_flat, bottom_flat, top_flat
 from zonalg.permstat import (
     BoundExceededError,
@@ -15,7 +19,10 @@ from zonalg.permstat import (
     perm_of,
     stats,
     stats_signed,
+    supp_exc_tally,
     symmetric_group,
+    _cycles_exc,
+    _supp_dim_exc_b,
 )
 
 
@@ -211,3 +218,54 @@ def test_exc_b_additivity(d):
 def test_cycle_notation_round_trip():
     s = parse_signed_cycles(4, "(1)(-1)(2 -2)(3 4 -3 -4)")
     assert str(s) == "(1)(-1)(2 -2)(3 4 -3 -4)"
+
+
+# ---------------------------------------------------------------------------
+# the object-free kernel against the element objects
+
+def _images(max_d):
+    return st.integers(1, max_d).flatmap(lambda d: st.permutations(range(1, d + 1)))
+
+
+def _signed(max_d):
+    return _images(max_d).flatmap(
+        lambda p: st.tuples(*[st.sampled_from((v, -v)) for v in p])
+    )
+
+
+@given(_images(9))
+@settings(max_examples=300, deadline=None)
+def test_cycles_exc_matches_permutation(images):
+    images = tuple(images)
+    sigma = Permutation(images)
+    assert _cycles_exc(images) == (len(sigma.supp().data), sigma.exc())
+
+
+@given(_signed(8))
+@settings(max_examples=300, deadline=None)
+def test_supp_dim_exc_b_matches_signed_permutation(images):
+    sigma = SignedPermutation(images)
+    assert _supp_dim_exc_b(images) == (sigma.supp().dim, sigma.exc_b())
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tally_matches_symmetric_group(d):
+    want = Counter((len(s.supp().data), s.exc()) for s in symmetric_group(d))
+    assert supp_exc_tally("S", d) == want
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_tally_matches_hyperoctahedral_group(d):
+    want = Counter((s.supp().dim, s.exc_b()) for s in hyperoctahedral_group(d))
+    assert supp_exc_tally("B", d) == want
+
+
+def test_tally_bounds(monkeypatch):
+    monkeypatch.delenv("ZONALG_MAX_SYMMETRIC", raising=False)
+    monkeypatch.delenv("ZONALG_MAX_HYPEROCTAHEDRAL", raising=False)
+    with pytest.raises(BoundExceededError, match="S_9 exceeds the bound 8"):
+        supp_exc_tally("S", 9)
+    with pytest.raises(BoundExceededError, match="B_7 exceeds the bound 6"):
+        supp_exc_tally("B", 7)
+    with pytest.raises(BoundExceededError, match="S_9 exceeds the bound 8"):
+        gfseries._perm_stats(9)

@@ -526,3 +526,14 @@ def test_act_matches_facewise_oracle(case):
             want = _act_oracle(x, e)
             assert got.terms == want.terms
             assert got.phi() == want.phi()
+
+
+@pytest.mark.parametrize("classes", [_adams_classes, _gamma_classes], ids=["A3", "C3"])
+def test_phi_matches_termwise_oracle(classes):
+    for x in classes():
+        for dims in (None, {1}, {0, 2}):
+            want = {}
+            for p, c in x.terms.items():
+                for face, w in polytope_cone_weights(p, dims).terms.items():
+                    want[face] = want.get(face, Fraction(0)) + w * c
+            assert x.phi(dims).terms == {f: w for f, w in want.items() if w}
