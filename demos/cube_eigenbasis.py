@@ -17,7 +17,7 @@ arr = arrg.coordinate(d)
 gamma = gamma_element(d, 2)
 print("gamma_2 is supported on the first orthant and is characteristic:",
       is_characteristic(gamma, 2))
-_, family = gamma_family(d, 2)
+family = gamma_family(d)
 family.check()
 print("its idempotent family passes idempotency/orthogonality/completeness")
 

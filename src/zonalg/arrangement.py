@@ -68,6 +68,25 @@ def coordinate(d):
     return Arrangement(KIND_C, d)
 
 
+_KIND_NAMES = {
+    "A": KIND_A, "BRAID": KIND_A,
+    "B": KIND_B, "TYPEB": KIND_B,
+    "C": KIND_C, "CUBE": KIND_C, "COORDINATE": KIND_C,
+}
+
+
+def arrangement_named(name, d):
+    """The arrangement in R^d named, in any case, A or braid, B or typeB, or
+    C, cube or coordinate.  ``d`` must be an int: 3.7, "3" and True are
+    rejected, not rounded or converted."""
+    kind = _KIND_NAMES.get(name.upper()) if isinstance(name, str) else None
+    if kind is None:
+        raise ValueError(f"unknown arrangement type {name!r}")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"the dimension d must be an integer, got {d!r}")
+    return Arrangement(kind, d)
+
+
 @dataclass(frozen=True, slots=True)
 class Face:
     arr: Arrangement
@@ -359,6 +378,18 @@ def _pair_representatives(blocks):
     """One block of each ± pair of a signed flat's nonzero blocks: the one
     whose element of least absolute value is positive."""
     return [b for b in blocks if min(b, key=abs) > 0]
+
+
+def flat_type(flat):
+    """(zero-block size, sorted block sizes) of a type-A or type-B flat.  In
+    type B the zero block counts its ± pairs and each ± pair of nonzero
+    blocks is one block; in type A the zero block is empty."""
+    if flat.arr.kind == KIND_A:
+        return 0, tuple(sorted(map(len, flat.data)))
+    if flat.arr.kind == KIND_B:
+        zero, blocks = flat.data
+        return len(zero) // 2, tuple(sorted(map(len, _pair_representatives(blocks))))
+    raise ValueError("flat types exist for the braid and type-B arrangements")
 
 
 def _full_blocks_b(face):

@@ -15,24 +15,8 @@ import time
 from . import arrangement as arrg
 from . import gfseries, hopfgp, linalg, permstat, polyclass, spectra, titsalgebra
 
-BOUNDS = {
-    ("eta", "A"): 5,
-    ("eta", "B"): 4,
-    ("eta", "C"): 5,
-    ("ranks", "A"): 4,
-    ("ranks", "C"): 4,
-}
-
-
-def _arr_of(type_name, d):
-    t = type_name.upper()
-    if t in ("A", "BRAID"):
-        return arrg.braid(d)
-    if t in ("B", "TYPEB"):
-        return arrg.type_b(d)
-    if t in ("C", "CUBE", "COORDINATE"):
-        return arrg.coordinate(d)
-    raise ValueError(f"unknown arrangement type {type_name!r}")
+# the largest d of each eta table on the command line
+ETA_BOUNDS = {arrg.KIND_A: 5, arrg.KIND_B: 4, arrg.KIND_C: 5}
 
 
 def _log(msg):
@@ -42,67 +26,69 @@ def _log(msg):
 # ---------------------------------------------------------------------------
 # verification suites (each returns a JSON-able report with an "ok" flag)
 
+def _report(suite, results):
+    return {"suite": suite, "results": results, "ok": all(r["ok"] for r in results)}
+
+
 def verify_brenti(type_name="A", dmax=None):
     results = []
-    if type_name.upper() in ("A", "ALL"):
-        top = 5 if dmax is None else dmax
-        for d in range(2, top + 1):
-            ok = polyclass.permutahedron(d).h_polynomial() == gfseries.eulerian_A(d)
-            results.append({"case": f"A d={d}", "ok": ok})
-    if type_name.upper() in ("B", "ALL"):
-        top = 4 if dmax is None else dmax
-        for d in range(2, top + 1):
-            ok = polyclass.typeB_permutahedron(d).h_polynomial() == gfseries.eulerian_B(d)
-            results.append({"case": f"B d={d}", "ok": ok})
-    return {"suite": "brenti", "results": results, "ok": all(r["ok"] for r in results)}
+    for t, zonotope, eulerian, default in (
+        ("A", polyclass.permutahedron, gfseries.eulerian_A, 5),
+        ("B", polyclass.typeB_permutahedron, gfseries.eulerian_B, 4),
+    ):
+        if type_name.upper() in (t, "ALL"):
+            for d in range(2, (default if dmax is None else dmax) + 1):
+                ok = zonotope(d).h_polynomial() == eulerian(d)
+                results.append({"case": f"{t} d={d}", "ok": ok})
+    return _report("brenti", results)
 
 
-def verify_thm_a(dmax=5, rank_dmax=4):
+def _mobius_vs_permutations(arr):
+    """The Möbius eta table of arr, and a report entry comparing it with the
+    permutation counts that names the first mismatch when they differ."""
+    em = spectra.eta_mobius(arr)
+    ep = spectra.eta_permutations(arr)
+    entry = {"d": arr.d, "mobius_vs_permutations": em.same_values(ep)}
+    if not entry["mobius_vs_permutations"]:
+        x, r = em.first_difference(ep)
+        entry["first_mismatch"] = {
+            "flat": arrg.flat_str(x),
+            "r": r,
+            "mobius": em.value(x, r),
+            "permutations": ep.value(x, r),
+        }
+    return em, entry
+
+
+def verify_thm_a(dmax=5, rank_dmax=spectra.RANK_BOUND):
     results = []
     for d in range(2, dmax + 1):
         arr = arrg.braid(d)
-        em = spectra.eta_mobius(arr)
-        ep = spectra.eta_permutations(arr)
-        ok = em.same_values(ep)
-        entry = {"d": d, "mobius_vs_permutations": ok}
+        em, entry = _mobius_vs_permutations(arr)
+        ok = entry["mobius_vs_permutations"]
         if d <= rank_dmax:
-            er = spectra.eta_idempotent_rank(d)
-            entry["idempotent_rank_agrees"] = er.same_values(em)
+            entry["idempotent_rank_agrees"] = spectra.eta_idempotent_rank(d).same_values(em)
             ok = ok and entry["idempotent_rank_agrees"]
         entry["flats"] = len(arrg.flats(arr))
         entry["ok"] = ok
         results.append(entry)
-    return {"suite": "thm-a", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("thm-a", results)
 
 
 def verify_thm_b(dmax=4):
     results = []
     for d in range(2, dmax + 1):
         arr = arrg.type_b(d)
-        em = spectra.eta_mobius(arr)
-        ep = spectra.eta_permutations(arr)
-        ok = em.same_values(ep)
+        em, entry = _mobius_vs_permutations(arr)
         bottom = em.value(arrg.bottom_flat(arr), 1)
-        entry = {
-            "d": d,
-            "mobius_vs_permutations": ok,
-            "eta_bottom_grade1": bottom,
-            "lower_bound_2^(d-1)": bottom == 2 ** (d - 1),
-        }
-        if not ok:
-            x, r = em.first_difference(ep)
-            entry["first_mismatch"] = {
-                "flat": arrg.flat_str(x),
-                "r": r,
-                "mobius": em.value(x, r),
-                "permutations": ep.value(x, r),
-            }
-        entry["ok"] = ok and entry["lower_bound_2^(d-1)"]
+        entry["eta_bottom_grade1"] = bottom
+        entry["lower_bound_2^(d-1)"] = bottom == 2 ** (d - 1)
+        entry["ok"] = entry["mobius_vs_permutations"] and entry["lower_bound_2^(d-1)"]
         results.append(entry)
-    return {"suite": "thm-b", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("thm-b", results)
 
 
-def verify_cube(dmax=5, rank_dmax=4):
+def verify_cube(dmax=5, rank_dmax=spectra.RANK_BOUND):
     results = []
     for d in range(1, dmax + 1):
         arr = arrg.coordinate(d)
@@ -122,12 +108,11 @@ def verify_cube(dmax=5, rank_dmax=4):
                 "want": indicator.value(x, r),
             }
         if d <= rank_dmax:
-            er = spectra.eta_gamma_rank(d)
-            entry["gamma_rank_agrees"] = er.same_values(em)
+            entry["gamma_rank_agrees"] = spectra.eta_gamma_rank(d).same_values(em)
             ok = ok and entry["gamma_rank_agrees"]
         entry["ok"] = ok
         results.append(entry)
-    return {"suite": "cube", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("cube", results)
 
 
 def verify_gf(order_a=None, order_b=None):
@@ -138,34 +123,26 @@ def verify_gf(order_a=None, order_b=None):
 def verify_idempotents(dmax=4):
     results = []
     for d in range(2, dmax + 1):
-        entry = {"d": d, "adams": True, "gamma": True}
-        fam = titsalgebra.adams_family(d)
-        try:
-            fam.check()
-        except AssertionError:
-            entry["adams"] = False
-        for t in (2, 3, 5, -1):
-            alpha = titsalgebra.adams_element(d, t)
-            if not (
-                titsalgebra.is_characteristic(alpha, t)
-                and titsalgebra.family_reconstructs(alpha, fam, t)
-            ):
-                entry["adams"] = False
-        gamma, gfam = titsalgebra.gamma_family(d, 2)
-        try:
-            gfam.check()
-        except AssertionError:
-            entry["gamma"] = False
-        for t in (2, 3, 5, -1):
-            gt = titsalgebra.gamma_element(d, t)
-            if not (
-                titsalgebra.is_characteristic(gt, t)
-                and titsalgebra.family_reconstructs(gt, gfam, t)
-            ):
-                entry["gamma"] = False
+        entry = {"d": d}
+        for name, family, element in (
+            ("adams", titsalgebra.adams_family, titsalgebra.adams_element),
+            ("gamma", titsalgebra.gamma_family, titsalgebra.gamma_element),
+        ):
+            fam = family(d)
+            try:
+                entry[name] = fam.check()
+            except AssertionError:
+                entry[name] = False
+            for t in (2, 3, 5, -1):
+                alpha = element(d, t)
+                if not (
+                    titsalgebra.is_characteristic(alpha, t)
+                    and titsalgebra.family_reconstructs(alpha, fam, t)
+                ):
+                    entry[name] = False
         entry["ok"] = entry["adams"] and entry["gamma"]
         results.append(entry)
-    return {"suite": "idempotents", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("idempotents", results)
 
 
 def verify_conjecture(dmax=4):
@@ -180,7 +157,7 @@ def verify_conjecture(dmax=4):
                 "ok": rep["all_independent"] and rep["extremal_products_fixed"],
             }
         )
-    return {"suite": "conjecture", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("conjecture", results)
 
 
 def verify_b_gens(dmax=4, trials=10, seed=0):
@@ -195,11 +172,8 @@ def verify_b_gens(dmax=4, trials=10, seed=0):
             "count_matches": len(non_pts) == 3 ** d - d - 1,
             "full_dimensional": len(fam.full_dimensional()) == 2 ** (d - 1),
         }
-        _, gens, polys, face_order, cols = spectra._b_system(d)
-        entry["full_column_rank"] = (
-            linalg.rank([[col[i] for col in cols] for i in range(len(face_order))])
-            == len(gens)
-        )
+        _, gens, polys, _, rows = spectra._b_system(d)
+        entry["full_column_rank"] = linalg.rank(rows) == len(gens)
         pb = polyclass.typeB_permutahedron(d)
         co = spectra.b_decompose(pb)
         entry["permutahedron_reconstructs"] = spectra.reconstruction_holds(pb, co, polys)
@@ -224,7 +198,7 @@ def verify_b_gens(dmax=4, trials=10, seed=0):
             )
         )
         results.append(entry)
-    return {"suite": "b-gens", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("b-gens", results)
 
 
 def verify_hopf(nmax=3, seed=0):
@@ -245,7 +219,7 @@ def verify_hopf(nmax=3, seed=0):
     if nmax >= 4:
         two_one = hopfgp.two_one_monoid_check(4, seed=seed)
         results.append({"n": 4, "two_one": two_one["ok"], "ok": two_one["ok"]})
-    return {"suite": "hopf", "results": results, "ok": all(r["ok"] for r in results)}
+    return _report("hopf", results)
 
 
 def verify_all(quick=True, seed=0):
@@ -291,7 +265,7 @@ def _dmax(args, default, least=2):
 
 
 _VERIFY = {
-    "thm-a": lambda args: verify_thm_a(_dmax(args, 5), min(_dmax(args, 4), 4)),
+    "thm-a": lambda args: verify_thm_a(_dmax(args, 5)),
     "thm-b": lambda args: verify_thm_b(_dmax(args, 4)),
     "brenti": lambda args: verify_brenti(args.type or "all", _dmax(args, None)),
     "gf": lambda args: verify_gf(args.order, args.order_b),
@@ -299,7 +273,7 @@ _VERIFY = {
     "conjecture": lambda args: verify_conjecture(_dmax(args, 4)),
     "b-gens": lambda args: verify_b_gens(_dmax(args, 4), args.trials, args.seed),
     "hopf": lambda args: verify_hopf(_dmax(args, 3), args.seed),
-    "cube": lambda args: verify_cube(_dmax(args, 5, least=1), min(_dmax(args, 4, least=1), 4)),
+    "cube": lambda args: verify_cube(_dmax(args, 5, least=1)),
     "all": lambda args: verify_all(args.quick, args.seed),
 }
 
@@ -308,16 +282,16 @@ _VERIFY = {
 # subcommand handlers
 
 def _cmd_eta(args):
-    arr = _arr_of(args.type, args.d)
-    bound = BOUNDS[("eta", arr.kind)]
+    arr = arrg.arrangement_named(args.type, args.d)
+    bound = ETA_BOUNDS[arr.kind]
     if args.d > bound:
         raise ValueError(f"d={args.d} exceeds the bound {bound} for eta tables")
     tables = [spectra.eta_mobius(arr)]
     if arr.kind in (arrg.KIND_A, arrg.KIND_B):
         tables.append(spectra.eta_permutations(arr))
-    if arr.kind == arrg.KIND_A and args.d <= BOUNDS[("ranks", "A")]:
+    if arr.kind == arrg.KIND_A and args.d <= spectra.RANK_BOUND:
         tables.append(spectra.eta_idempotent_rank(args.d))
-    if arr.kind == arrg.KIND_C and args.d <= BOUNDS[("ranks", "C")]:
+    if arr.kind == arrg.KIND_C and args.d <= spectra.RANK_BOUND:
         tables.append(spectra.eta_gamma_rank(args.d))
     agree = all(t.same_values(tables[0]) for t in tables[1:])
     rows = []
@@ -353,25 +327,20 @@ def _cmd_decompose(args):
     with open(args.input) as fh:
         data = json.load(fh)
     p = polyclass.polytope_from_json(data)
-    if args.type.upper() == "A":
-        if p.arr.kind != arrg.KIND_A:
-            raise ValueError("type A decomposition needs a braid-arrangement polytope")
-        coeffs = spectra.a_decompose(p)
-        gens, polys, _, _ = spectra._a_system(p.arr.d)
-        rows = {
-            "Delta{" + ",".join(str(i) for i in sorted(s)) + "}": str(c)
-            for s, c in coeffs.items()
-            if c
-        }
-        ok = spectra.reconstruction_holds(p, coeffs, polys)
-    else:
-        if p.arr.kind != arrg.KIND_B:
-            raise ValueError("type B decomposition needs a type-B polytope")
-        coeffs = spectra.b_decompose(p)
-        fam, gens, polys, _, _ = spectra._b_system(p.arr.d)
-        rows = {fam.label(g): str(c) for g, c in coeffs.items() if c}
-        ok = spectra.reconstruction_holds(p, coeffs, polys)
-    payload = {"type": args.type.upper(), "d": p.arr.d, "coefficients": rows, "reconstructs": ok}
+    t = args.type.upper()
+    # type: (arrangement, the polytopes it takes, solve, system, generator label)
+    kind, needs, decompose, system, label = {
+        "A": (arrg.KIND_A, "a braid-arrangement", spectra.a_decompose, spectra._a_system,
+              spectra.simplex_label),
+        "B": (arrg.KIND_B, "a type-B", spectra.b_decompose, spectra._b_system,
+              spectra.GeneratorFamilyB.label),
+    }[t]
+    if p.arr.kind != kind:
+        raise ValueError(f"type {t} decomposition needs {needs} polytope")
+    coeffs = decompose(p)
+    rows = {label(g): str(c) for g, c in coeffs.items() if c}
+    ok = spectra.reconstruction_holds(p, coeffs, system(p.arr.d)[-3])
+    payload = {"type": t, "d": p.arr.d, "coefficients": rows, "reconstructs": ok}
     _emit(payload, args.format)
     return 0 if ok else 1
 

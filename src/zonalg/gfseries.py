@@ -20,12 +20,22 @@ from functools import lru_cache
 from . import arrangement as arrg
 from . import permstat
 
-CONVENTIONS = ("ordinary", "egf", "bgf")
-
 
 def _dfact(d):
     """(2d)!! = 2^d d!"""
     return (2 ** d) * math.factorial(d)
+
+
+def _convention_scale(d, convention):
+    """The factor that reads the ordinary coefficient of x^d in a convention:
+    1 ("ordinary"), d! ("egf") or (2d)!! ("bgf")."""
+    if convention == "egf":
+        return math.factorial(d)
+    if convention == "bgf":
+        return _dfact(d)
+    if convention != "ordinary":
+        raise ValueError(f"unknown convention {convention!r}")
+    return 1
 
 
 @dataclass(frozen=True)
@@ -166,13 +176,10 @@ def eulerian_B(d):
 class TruncSeries:
     order: int
     coeffs: tuple  # RatPoly per power of x, ordinary convention, len == order+1
-    convention: str = "ordinary"
 
     def __post_init__(self):
         if self.order < 0 or len(self.coeffs) != self.order + 1:
             raise ValueError("inconsistent truncation order")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @classmethod
     def from_coeffs(cls, coeffs, order, convention="ordinary"):
@@ -182,39 +189,28 @@ class TruncSeries:
             c = coeffs[d] if d < len(coeffs) else _P_ZERO
             if isinstance(c, (int, Fraction)):
                 c = RatPoly.of(c)
-            if convention == "egf":
-                c = c.scale(Fraction(1, math.factorial(d)))
-            elif convention == "bgf":
-                c = c.scale(Fraction(1, _dfact(d)))
-            polys.append(c)
-        return cls(order, tuple(polys), convention)
+            scale = _convention_scale(d, convention)
+            polys.append(c.scale(Fraction(1, scale)) if scale != 1 else c)
+        return cls(order, tuple(polys))
 
     @classmethod
-    def zero(cls, order, convention="ordinary"):
-        return cls(order, (_P_ZERO,) * (order + 1), convention)
+    def zero(cls, order):
+        return cls(order, (_P_ZERO,) * (order + 1))
 
     @classmethod
-    def one(cls, order, convention="ordinary"):
-        return cls(order, (_P_ONE,) + (_P_ZERO,) * order, convention)
+    def one(cls, order):
+        return cls(order, (_P_ONE,) + (_P_ZERO,) * order)
 
     @classmethod
-    def x(cls, order, convention="ordinary"):
+    def x(cls, order):
         if order < 1:
             raise ValueError("order must be >= 1")
-        return cls(order, (_P_ZERO, _P_ONE) + (_P_ZERO,) * (order - 1), convention)
+        return cls(order, (_P_ZERO, _P_ONE) + (_P_ZERO,) * (order - 1))
 
-    def coeff(self, d, convention=None):
+    def coeff(self, d, convention="ordinary"):
         """Coefficient of x^d read in the requested convention."""
-        convention = convention or self.convention
-        c = self.coeffs[d]
-        if convention == "egf":
-            return c.scale(math.factorial(d))
-        if convention == "bgf":
-            return c.scale(_dfact(d))
-        return c
-
-    def with_convention(self, convention):
-        return TruncSeries(self.order, self.coeffs, convention)
+        scale = _convention_scale(d, convention)
+        return self.coeffs[d].scale(scale) if scale != 1 else self.coeffs[d]
 
     def _binop(self, other):
         if self.order != other.order:
@@ -226,7 +222,6 @@ class TruncSeries:
         return TruncSeries(
             self.order,
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.convention,
         )
 
     def __sub__(self, other):
@@ -234,16 +229,15 @@ class TruncSeries:
         return TruncSeries(
             self.order,
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.convention,
         )
 
     def __neg__(self):
-        return TruncSeries(self.order, tuple(-a for a in self.coeffs), self.convention)
+        return TruncSeries(self.order, tuple(-a for a in self.coeffs))
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = RatPoly.of(c)
-        return TruncSeries(self.order, tuple(a * c for a in self.coeffs), self.convention)
+        return TruncSeries(self.order, tuple(a * c for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._binop(other)
@@ -255,23 +249,23 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.order, tuple(out), self.convention)
+        return TruncSeries(self.order, tuple(out))
 
     def compose(self, inner):
         """self(inner(x)); the inner series must have zero constant term."""
         inner = self._binop(inner)
         if not inner.coeffs[0].is_zero():
             raise ValueError("compose requires zero constant term in the inner series")
-        result = TruncSeries.zero(self.order, self.convention)
+        result = TruncSeries.zero(self.order)
         for c in reversed(self.coeffs):
-            result = result * inner + TruncSeries.from_coeffs([c], self.order, "ordinary")
-        return result.with_convention(self.convention)
+            result = result * inner + TruncSeries.from_coeffs([c], self.order)
+        return result
 
     def exp(self):
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires zero constant term")
-        result = TruncSeries.one(self.order, self.convention)
-        term = TruncSeries.one(self.order, self.convention)
+        result = TruncSeries.one(self.order)
+        term = TruncSeries.one(self.order)
         for k in range(1, self.order + 1):
             term = term * self
             term = term.scale(Fraction(1, k))
@@ -281,9 +275,9 @@ class TruncSeries:
     def log(self):
         if self.coeffs[0] != _P_ONE:
             raise ValueError("log requires constant term 1")
-        h = self - TruncSeries.one(self.order, self.convention)
-        result = TruncSeries.zero(self.order, self.convention)
-        power = TruncSeries.one(self.order, self.convention)
+        h = self - TruncSeries.one(self.order)
+        result = TruncSeries.zero(self.order)
+        power = TruncSeries.one(self.order)
         for k in range(1, self.order + 1):
             power = power * h
             result = result + power.scale(Fraction((-1) ** (k - 1), k))
@@ -302,14 +296,14 @@ class TruncSeries:
                 if not self.coeffs[k].is_zero():
                     acc = acc + self.coeffs[k] * out[n - k]
             out[n] = -(acc * inv0)
-        return TruncSeries(self.order, tuple(out), self.convention)
+        return TruncSeries(self.order, tuple(out))
 
     def power(self, exponent):
         """f^exponent for rational exponent; requires constant term 1."""
         exponent = Fraction(exponent)
         if exponent.denominator == 1 and exponent >= 0:
             n = int(exponent)
-            result = TruncSeries.one(self.order, self.convention)
+            result = TruncSeries.one(self.order)
             base = self
             while n:
                 if n & 1:
@@ -327,7 +321,7 @@ class TruncSeries:
         for a in self.coeffs:
             out.append(a.scale(f))
             f *= c
-        return TruncSeries(self.order, tuple(out), self.convention)
+        return TruncSeries(self.order, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +367,14 @@ def _poly_of_counts(counts):
 
 
 def _cyclic_excedance_poly(d):
-    """sum over cyclic permutations of [d] of z^exc, by direct enumeration."""
-    total = {}
+    """sum over cyclic permutations of [d] of z^exc, by direct enumeration of
+    the image tuples of the cycles (1, rest...)."""
+    total = Counter()
     for rest in itertools.permutations(range(2, d + 1)):
-        cyc = (1,) + rest
-        sigma = permstat.Permutation.from_cycles(d, [cyc])
-        e = sigma.exc()
-        total[e] = total.get(e, 0) + 1
+        images = [0] * d
+        for a, b in zip((1,) + rest, rest + (1,)):
+            images[a - 1] = b
+        total[permstat._cycles_exc(images)[1]] += 1
     return _poly_of_counts(total)
 
 
@@ -418,42 +413,30 @@ def _bivariate_B(d, t):
     return _tally_poly(_signed_stats(d), t)
 
 
-def _mobius_sum_by_type(arr, block_type, product):
-    """sum over the flats X of arr of mu(bot, X) * product(block_type(X)).
+def h_of_type(flat_type):
+    """B_k(z) * prod_i A_{s_i}(z) for a flat of type (k, (s_1, s_2, ...)),
+    as ``arrangement.flat_type`` gives it: the h-polynomial of the zonotope
+    face at the flat (B_0 = 1, so a type-A flat takes the plain product)."""
+    zero, sizes = flat_type
+    return math.prod(map(eulerian_A, sizes), start=eulerian_B(zero))
+
+
+def _partition_mobius_sum(arr):
+    """sum over the flats X of a braid or type-B arrangement of
+    mu(bot, X) * h_of_type(type of X).
 
     Every flat contributes its own Möbius value; the integer weights are
-    added up per block type, and ``product`` is evaluated once per type.
+    added up per flat type, and the product is evaluated once per type.
     """
     bot = arrg.bottom_flat(arr)
     weights = Counter()
     for x in arrg.flats(arr):
-        weights[block_type(x)] += arrg.mobius(bot, x)
+        weights[arrg.flat_type(x)] += arrg.mobius(bot, x)
     acc = _P_ZERO
     for key, w in weights.items():
         if w:
-            acc = acc + product(key).scale(w)
+            acc = acc + h_of_type(key).scale(w)
     return acc
-
-
-def _partition_mobius_sum_A(d):
-    """sum over set partitions X of [d] of mu(bot, X) * prod A_{|S|}(z)."""
-    return _mobius_sum_by_type(
-        arrg.braid(d),
-        lambda x: tuple(sorted(len(b) for b in x.data)),
-        lambda sizes: math.prod(map(eulerian_A, sizes), start=_P_ONE),
-    )
-
-
-def _partition_mobius_sum_B(d):
-    """sum over signed partitions of mu(bot, X) * B_{|S0|/2} * prod A_{|S_i|}."""
-    return _mobius_sum_by_type(
-        arrg.type_b(d),
-        lambda x: (
-            len(x.data[0]) // 2,
-            tuple(sorted(len(b) for b in arrg._pair_representatives(x.data[1]))),
-        ),
-        lambda key: math.prod(map(eulerian_A, key[1]), start=eulerian_B(key[0])),
-    )
 
 
 def verify_identities(order_a=None, order_b=None):
@@ -493,7 +476,7 @@ def verify_identities(order_a=None, order_b=None):
     mismatch = None
     logA = A.log()
     for d in range(1, order_a + 1):
-        lhs = _partition_mobius_sum_A(d)
+        lhs = _partition_mobius_sum(arrg.braid(d))
         rhs = _cyclic_excedance_poly(d)
         if lhs != rhs or logA.coeff(d, "egf") != rhs:
             mismatch = {"d": d, "lhs": str(lhs), "rhs": str(rhs)}
@@ -506,7 +489,7 @@ def verify_identities(order_a=None, order_b=None):
     Ab = eulerian_gf_A(order_b)
     closed = B * Ab.power(Fraction(-1, 2))
     for d in range(1, order_b + 1):
-        lhs = _partition_mobius_sum_B(d)
+        lhs = _partition_mobius_sum(arrg.type_b(d))
         rhs = _signed_central_poly(d)
         if lhs != rhs or closed.coeff(d, "bgf") != rhs:
             mismatch = {"d": d, "lhs": str(lhs), "rhs": str(rhs)}
@@ -578,6 +561,31 @@ def _double_factorial_odd(d):
     return Fraction(out)
 
 
+def _coefficient_series(constant, c, order, convention):
+    """The series with constant term ``constant`` and coefficient c(d) of
+    x^d, d >= 1, read in the given convention."""
+    return TruncSeries.from_coeffs(
+        [RatPoly.of(constant)] + [RatPoly.of(c(d)) for d in range(1, order + 1)],
+        order,
+        convention,
+    )
+
+
+def _signed_flat_sum_mismatch(order, rhs, fc, gc, ac):
+    """Brute-force sums over the signed partitions of [±d], d <= min(order, 4),
+    against the bgf coefficients of ``rhs``: a flat of type (k, (s_1..s_m))
+    contributes f_k g_m a_{s_1} ... a_{s_m}.  The first differing d, or None."""
+    for d in range(1, min(order, 4) + 1):
+        lhs = Fraction(0)
+        for x in arrg.flats(arrg.type_b(d)):
+            zero, sizes = arrg.flat_type(x)
+            lhs += fc(zero) * gc(len(sizes)) * math.prod(map(ac, sizes))
+        got = rhs.coeff(d, "bgf")
+        if got != RatPoly.of(lhs):
+            return {"d": d, "lhs": str(lhs), "rhs": str(got)}
+    return None
+
+
 def _check_compositional_b(order):
     """Brute-force signed-partition sums against f(x) g(a(x)).
 
@@ -589,32 +597,14 @@ def _check_compositional_b(order):
         (lambda d: Fraction(d + 1), lambda k: Fraction(2) ** k, lambda m: Fraction(m)),
     ]
     for fam, (fc, gc, ac) in enumerate(families):
-        f = TruncSeries.from_coeffs(
-            [RatPoly.of(1)] + [RatPoly.of(fc(d)) for d in range(1, order + 1)], order, "bgf"
-        )
-        g = TruncSeries.from_coeffs(
-            [RatPoly.of(1)] + [RatPoly.of(gc(d)) for d in range(1, order + 1)], order, "bgf"
-        )
-        a = TruncSeries.from_coeffs(
-            [RatPoly.of(0)] + [RatPoly.of(ac(d)) for d in range(1, order + 1)], order, "egf"
-        )
+        f = _coefficient_series(1, fc, order, "bgf")
+        g = _coefficient_series(1, gc, order, "bgf")
+        a = _coefficient_series(0, ac, order, "egf")
         # g(a(x)) needs g as a function of its argument: expand via the bgf
         # coefficients g_k against powers of a
-        h = _compose_bgf(g, a, order)
-        rhs = f * h
-        for d in range(1, min(order, 4) + 1):
-            lhs = Fraction(0)
-            arr = arrg.type_b(d)
-            for x in arrg.flats(arr):
-                zero, blocks = x.data
-                k = len(blocks) // 2
-                term = fc(len(zero) // 2) * gc(k)
-                for b in arrg._pair_representatives(blocks):
-                    term *= ac(len(b))
-                lhs += term
-            got = rhs.coeff(d, "bgf")
-            if got != RatPoly.of(lhs):
-                return {"family": fam, "d": d, "lhs": str(lhs), "rhs": str(got)}
+        mismatch = _signed_flat_sum_mismatch(order, f * _compose_bgf(g, a, order), fc, gc, ac)
+        if mismatch:
+            return {"family": fam, **mismatch}
     return None
 
 
@@ -630,26 +620,11 @@ def _compose_bgf(g, a, order):
 
 
 def _check_exponential_b(order):
-    """Exponential specialization g_k = 1: h(x) = f(x) exp(a(x)/2)."""
+    """The compositional sums at g_k = 1, where g(a(x)) = exp(a(x)/2):
+    h(x) = f(x) exp(a(x)/2), with exp computed by its own series."""
     fc = lambda d: Fraction(1, d + 1)
     ac = lambda m: Fraction(m * m)
-    f = TruncSeries.from_coeffs(
-        [RatPoly.of(1)] + [RatPoly.of(fc(d)) for d in range(1, order + 1)], order, "bgf"
-    )
-    a = TruncSeries.from_coeffs(
-        [RatPoly.of(0)] + [RatPoly.of(ac(d)) for d in range(1, order + 1)], order, "egf"
-    )
+    f = _coefficient_series(1, fc, order, "bgf")
+    a = _coefficient_series(0, ac, order, "egf")
     rhs = f * a.scale(Fraction(1, 2)).exp()
-    for d in range(1, min(order, 4) + 1):
-        lhs = Fraction(0)
-        arr = arrg.type_b(d)
-        for x in arrg.flats(arr):
-            zero, blocks = x.data
-            term = fc(len(zero) // 2)
-            for b in arrg._pair_representatives(blocks):
-                term *= ac(len(b))
-            lhs += term
-        got = rhs.coeff(d, "bgf")
-        if got != RatPoly.of(lhs):
-            return {"d": d, "lhs": str(lhs), "rhs": str(got)}
-    return None
+    return _signed_flat_sum_mismatch(order, rhs, fc, lambda k: Fraction(1), ac)

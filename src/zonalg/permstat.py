@@ -36,8 +36,34 @@ class BoundExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the configured bound."""
 
 
+class _Cycles:
+    """Cycle decomposition and cycle notation, shared by both permutation
+    types; ``_starts`` is the order in which elements open new cycles."""
+
+    __slots__ = ()
+
+    def cycles(self):
+        seen = set()
+        out = []
+        for start in self._starts():
+            if start in seen:
+                continue
+            cyc = [start]
+            seen.add(start)
+            nxt = self(start)
+            while nxt != start:
+                cyc.append(nxt)
+                seen.add(nxt)
+                nxt = self(nxt)
+            out.append(tuple(cyc))
+        return out
+
+    def __str__(self):
+        return "".join(f"({' '.join(str(x) for x in c)})" for c in self.cycles())
+
+
 @dataclass(frozen=True)
-class Permutation:
+class Permutation(_Cycles):
     images: tuple  # images[i-1] = sigma(i)
 
     def __post_init__(self):
@@ -52,21 +78,8 @@ class Permutation:
     def __call__(self, i):
         return self.images[i - 1]
 
-    def cycles(self):
-        seen = set()
-        out = []
-        for start in range(1, self.d + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cyc))
-        return out
+    def _starts(self):
+        return range(1, self.d + 1)
 
     def exc(self):
         return sum(1 for i in range(1, self.d + 1) if self(i) > i)
@@ -85,12 +98,9 @@ class Permutation:
                 images[a - 1] = b
         return cls(tuple(images))
 
-    def __str__(self):
-        return "".join(f"({' '.join(str(x) for x in c)})" for c in self.cycles())
-
 
 @dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Cycles):
     images: tuple  # images[i-1] = sigma(i) in [±d]; sigma(-i) = -sigma(i)
 
     def __post_init__(self):
@@ -107,22 +117,9 @@ class SignedPermutation:
             return self.images[i - 1]
         return -self.images[-i - 1]
 
-    def cycles(self):
-        """Cycles on the signed ground set [±d]."""
-        seen = set()
-        out = []
-        for start in [x for i in range(1, self.d + 1) for x in (i, -i)]:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cyc))
-        return out
+    def _starts(self):
+        """Cycles are on the signed ground set [±d]: 1, -1, 2, -2, ..."""
+        return [x for i in range(1, self.d + 1) for x in (i, -i)]
 
     def exc(self):
         return sum(1 for i in range(1, self.d) if self(i) > i)
@@ -161,9 +158,6 @@ class SignedPermutation:
                 images[-a] = -b
         out = [images.get(i, i) for i in range(1, d + 1)]
         return cls(tuple(out))
-
-    def __str__(self):
-        return "".join(f"({' '.join(str(x) for x in c)})" for c in self.cycles())
 
 
 def stats(sigma):
@@ -341,31 +335,24 @@ def hyperoctahedral_group(d):
 def enumerate_group(group, d, supp=None, exc=None, exc_b=None):
     """Filtered exhaustive enumeration; the oracle for the eigenspace counts.
 
-    ``group`` is "S" or "B".  Filters: supp (a Flat), exc (type A) or exc_b
-    (type B).
+    ``group`` is "S" or "B".  Filters: supp (a Flat), exc (both groups) and
+    exc_b (type B only).
     """
     if group == "S":
+        if exc_b is not None:
+            raise ValueError("the exc_b filter needs the signed group B")
         elems = symmetric_group(d)
-        out = []
-        for s in elems:
-            if supp is not None and s.supp() != supp:
-                continue
-            if exc is not None and s.exc() != exc:
-                continue
-            out.append(s)
-        return out
-    if group == "B":
-        out = []
-        for s in hyperoctahedral_group(d):
-            if supp is not None and s.supp() != supp:
-                continue
-            if exc_b is not None and s.exc_b() != exc_b:
-                continue
-            if exc is not None and s.exc() != exc:
-                continue
-            out.append(s)
-        return out
-    raise ValueError(f"unknown group {group!r}")
+    elif group == "B":
+        elems = hyperoctahedral_group(d)
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    return [
+        s
+        for s in elems
+        if (supp is None or s.supp() == supp)
+        and (exc is None or s.exc() == exc)
+        and (exc_b is None or s.exc_b() == exc_b)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from math import factorial, lcm
 
 from . import arrangement as arrg
 from . import linalg
-from .arrangement import Arrangement
 from .gfseries import RatPoly
 from .linalg import _ZERO, Combination, to_integers
 
@@ -683,9 +682,6 @@ def psi1(p):
 # ---------------------------------------------------------------------------
 # serialization
 
-_KIND_NAMES = {"A": arrg.KIND_A, "B": arrg.KIND_B, "C": arrg.KIND_C, "cube": arrg.KIND_C}
-
-
 def polytope_to_json(p):
     return {
         "arrangement": p.arr.kind,
@@ -695,9 +691,6 @@ def polytope_to_json(p):
 
 
 def polytope_from_json(data):
-    kind = _KIND_NAMES.get(data["arrangement"])
-    if kind is None:
-        raise ValueError(f"unknown arrangement {data['arrangement']!r}")
-    arr = Arrangement(kind, int(data["d"]))
+    arr = arrg.arrangement_named(data["arrangement"], data["d"])
     pts = [tuple(Fraction(c) for c in row) for row in data["points"]]
     return VPolytope(arr, pts)

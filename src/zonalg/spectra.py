@@ -22,8 +22,11 @@ from functools import lru_cache
 from . import arrangement as arrg
 from . import linalg, permstat, polyclass, titsalgebra
 from .arrangement import Flat
-from .gfseries import RatPoly, eulerian_A, eulerian_B
+from .gfseries import RatPoly, eulerian_A, h_of_type
 from .polyclass import PiElement, log_class
+
+# the largest d at which eta tables are computed as idempotent ranks
+RANK_BOUND = 4
 
 
 class EtaTable:
@@ -70,25 +73,11 @@ class EtaTable:
 # ---------------------------------------------------------------------------
 # route 1: Möbius sums of h-polynomials
 
-def _h_shape_A(block_sizes):
-    acc = RatPoly.of(1)
-    for s in block_sizes:
-        acc = acc * eulerian_A(s)
-    return acc
-
-
 def _flat_h_product(flat):
     """h-polynomial of the zonotope face at a flat, by the product formulas."""
-    arr = flat.arr
-    if arr.kind == arrg.KIND_A:
-        return _h_shape_A(sorted(len(b) for b in flat.data))
-    if arr.kind == arrg.KIND_B:
-        zero, blocks = flat.data
-        acc = eulerian_B(len(zero) // 2)
-        for b in arrg._pair_representatives(blocks):
-            acc = acc * eulerian_A(len(b))
-        return acc
-    return RatPoly.of(1, 1) ** len(flat.data)
+    if flat.arr.kind == arrg.KIND_C:
+        return RatPoly.of(1, 1) ** len(flat.data)
+    return h_of_type(arrg.flat_type(flat))
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +158,7 @@ def _adams_family(d):
 
 @lru_cache(maxsize=None)
 def _gamma_family(d):
-    _, fam = titsalgebra.gamma_family(d, 2)
-    return fam
+    return titsalgebra.gamma_family(d)
 
 
 def _phi_vector(x, face_order):
@@ -181,14 +169,23 @@ def _log_simplex(arr, s):
     return log_class(polyclass.simplex(arr, s))
 
 
+def _leaf_path_product(sigma):
+    """The product of the log-simplex classes on the leaf paths of the
+    increasing forest of a permutation."""
+    arr = arrg.braid(sigma.d)
+    prod = PiElement.one(arr)
+    for j in permstat.forest_of(sigma).leaf_paths():
+        prod = prod * _log_simplex(arr, j)
+    return prod
+
+
 @lru_cache(maxsize=None)
 def _spanning_sets_braid(d):
     """Spanning sets of each graded piece for the braid arrangement.
 
-    Grade r candidates are the path products of permutations with r
-    excedances, extended with generic products of log-simplex classes until
-    the span has the full h_r dimension (certified in cone-weight
-    coordinates).
+    Grade r takes the leaf-path products of permutations with r excedances
+    that enlarge the span, until it has the full h_r dimension (certified in
+    cone-weight coordinates).
     """
     arr = arrg.braid(d)
     face_order = list(arrg.faces(arr))
@@ -197,50 +194,41 @@ def _spanning_sets_braid(d):
     by_r = {}
     for sigma in permstat.symmetric_group(d):
         by_r.setdefault(sigma.exc(), []).append(sigma)
-    subsets = [
-        frozenset(s)
-        for k in range(2, d + 1)
-        for s in itertools.combinations(range(1, d + 1), k)
-    ]
     for r in range(1, d):
         target = int(h.coeff(r))
-        cands = []
-        for sigma in by_r.get(r, []):
-            paths = permstat.forest_of(sigma).leaf_paths()
-            prod = PiElement.one(arr)
-            for j in paths:
-                prod = prod * _log_simplex(arr, j)
-            cands.append(prod)
         tracker = linalg.IncrementalRank(len(face_order))
         chosen = []
-        for b in cands:
+        for sigma in by_r.get(r, []):
+            b = _leaf_path_product(sigma)
             if tracker.add(_phi_vector(b, face_order)):
                 chosen.append(b)
             if tracker.rank == target:
                 break
-        if tracker.rank < target:
-            for combo in itertools.combinations_with_replacement(subsets, r):
-                prod = PiElement.one(arr)
-                for s in combo:
-                    prod = prod * _log_simplex(arr, s)
-                if tracker.add(_phi_vector(prod, face_order)):
-                    chosen.append(prod)
-                if tracker.rank == target:
-                    break
         if tracker.rank != target:
             raise AssertionError(f"could not span grade {r} at dimension {target}")
         spans[r] = chosen
     return spans
 
 
-def eta_idempotent_rank(d):
-    """Braid-arrangement eta values as ranks of idempotent images."""
-    if d > 4:
-        raise permstat.BoundExceededError("idempotent ranks are bounded at d = 4")
-    arr = arrg.braid(d)
+def _spanning_sets_coordinate(d):
+    """The segment-product eigenvectors, grade k holding the products over
+    the k-subsets of [d]."""
+    arr = arrg.coordinate(d)
+    return {
+        k: [_y_product(arr, s) for s in itertools.combinations(range(1, d + 1), k)]
+        for k in range(d + 1)
+    }
+
+
+def _eta_rank(arr, family, spanning_sets):
+    """eta values of arr as ranks: at a flat X and grade r, the rank of the
+    images of the grade-r spanning classes under the idempotent E_X.
+    ``family`` and ``spanning_sets`` map d to the idempotents and the sets."""
+    if arr.d > RANK_BOUND:
+        raise permstat.BoundExceededError(f"idempotent ranks are bounded at d = {RANK_BOUND}")
     face_order = list(arrg.faces(arr))
-    fam = _adams_family(d)
-    spans = _spanning_sets_braid(d)
+    fam = family(arr.d)
+    spans = spanning_sets(arr.d)
     out = {}
     for x in arrg.flats(arr):
         ex = fam[x]
@@ -253,29 +241,15 @@ def eta_idempotent_rank(d):
     return EtaTable(arr, "idempotent_rank", out)
 
 
+def eta_idempotent_rank(d):
+    """Braid-arrangement eta values as ranks of idempotent images."""
+    return _eta_rank(arrg.braid(d), _adams_family, _spanning_sets_braid)
+
+
 def eta_gamma_rank(d):
     """Coordinate-arrangement eta values as ranks of idempotent images,
     using the segment-product eigenvectors as the spanning sets."""
-    if d > 4:
-        raise permstat.BoundExceededError("idempotent ranks are bounded at d = 4")
-    arr = arrg.coordinate(d)
-    face_order = list(arrg.faces(arr))
-    fam = _gamma_family(d)
-    ys = {}
-    for k in range(0, d + 1):
-        ys[k] = [
-            _y_product(arr, s) for s in itertools.combinations(range(1, d + 1), k)
-        ]
-    out = {}
-    for x in arrg.flats(arr):
-        ex = fam[x]
-        for r, basis in ys.items():
-            tracker = linalg.IncrementalRank(len(face_order))
-            for b in basis:
-                tracker.add(_phi_vector(b.act(ex), face_order))
-            if tracker.rank:
-                out[(x, r)] = tracker.rank
-    return EtaTable(arr, "idempotent_rank", out)
+    return _eta_rank(arrg.coordinate(d), _gamma_family, _spanning_sets_coordinate)
 
 
 def _y_product(arr, s):
@@ -292,13 +266,8 @@ def _y_product(arr, s):
 
 def x_sigma(sigma, family=None):
     """Path-product eigenvector candidate attached to a permutation."""
-    d = sigma.d
-    arr = arrg.braid(d)
-    family = family or _adams_family(d)
-    prod = PiElement.one(arr)
-    for j in permstat.forest_of(sigma).leaf_paths():
-        prod = prod * _log_simplex(arr, j)
-    return prod.act(family[sigma.supp()])
+    family = family or _adams_family(sigma.d)
+    return _leaf_path_product(sigma).act(family[sigma.supp()])
 
 
 def x_flat(flat):
@@ -442,10 +411,17 @@ class GeneratorFamilyB:
             return polyclass.simplex(arr, s)
         return polyclass.simplex0(arr, s)
 
-    def label(self, member):
+    @staticmethod
+    def label(member):
         kind, s = member
-        body = ",".join(str(e) for e in sorted(s, key=lambda e: (abs(e), e < 0)))
-        return ("Delta{" if kind == "simplex" else "Delta0{") + body + "}"
+        return simplex_label(s, zero=kind == "simplex0")
+
+
+def simplex_label(s, zero=False):
+    """Delta{...}, or Delta0{...} for the simplex with the origin: the
+    elements of s by absolute value, the positive one first."""
+    body = ",".join(str(e) for e in sorted(s, key=lambda e: (abs(e), e < 0)))
+    return ("Delta0{" if zero else "Delta{") + body + "}"
 
 
 def special_subsets(d):
@@ -476,12 +452,12 @@ def b_generators(d):
     return GeneratorFamilyB(d, tuple(members))
 
 
-def _edge_weight_columns(arr, gens, gen_polys):
+def _edge_weight_rows(arr, gens, gen_polys):
+    """(faces of dimension d-1, the matrix with one row per such face and one
+    column per generator: the generators' edge lengths at the face)."""
     face_order = [f for f in arrg.faces(arr) if f.dim == arr.d - 1]
-    cols = []
-    for g in gens:
-        cols.append(polyclass.psi1(gen_polys[g]).to_vector(face_order))
-    return face_order, cols
+    cols = [polyclass.psi1(gen_polys[g]).to_vector(face_order) for g in gens]
+    return face_order, tuple(zip(*cols))
 
 
 @lru_cache(maxsize=None)
@@ -490,21 +466,7 @@ def _b_system(d):
     family = b_generators(d)
     gens = tuple(family.non_point_members())
     polys = {g: family.polytope(g) for g in gens}
-    face_order, cols = _edge_weight_columns(arr, gens, polys)
-    return family, gens, polys, face_order, cols
-
-
-def b_decompose(p):
-    """Unique signed-Minkowski coordinates of a type-B deformation in the
-    special-simplex family (non-point members; points absorb translations)."""
-    d = p.arr.d
-    if d > 4 or p.arr.kind != arrg.KIND_B:
-        raise ValueError("type-B decompositions need a type-B deformation with d <= 4")
-    family, gens, polys, face_order, cols = _b_system(d)
-    rows = [[col[i] for col in cols] for i in range(len(face_order))]
-    rhs = polyclass.psi1(p).to_vector(face_order)
-    sol = linalg.solve_unique(rows, rhs)
-    return {g: c for g, c in zip(gens, sol)}
+    return (family, gens, polys) + _edge_weight_rows(arr, gens, polys)
 
 
 @lru_cache(maxsize=None)
@@ -516,20 +478,32 @@ def _a_system(d):
         for s in itertools.combinations(range(1, d + 1), k)
     )
     polys = {s: polyclass.simplex(arr, s) for s in gens}
-    face_order, cols = _edge_weight_columns(arr, gens, polys)
-    return gens, polys, face_order, cols
+    return (gens, polys) + _edge_weight_rows(arr, gens, polys)
+
+
+def _edge_length_solve(p, kind, dmax, system, needs):
+    """The unique coordinates of p in the generators of ``system`` (whose
+    last four entries are gens, polys, faces, rows), from its edge lengths."""
+    if p.arr.d > dmax or p.arr.kind != kind:
+        raise ValueError(f"{needs} with d <= {dmax}")
+    gens, _, face_order, rows = system(p.arr.d)[-4:]
+    rhs = polyclass.psi1(p).to_vector(face_order)
+    return dict(zip(gens, linalg.solve_unique(rows, rhs)))
+
+
+def b_decompose(p):
+    """Unique signed-Minkowski coordinates of a type-B deformation in the
+    special-simplex family (non-point members; points absorb translations)."""
+    return _edge_length_solve(
+        p, arrg.KIND_B, 4, _b_system, "type-B decompositions need a type-B deformation"
+    )
 
 
 def a_decompose(p):
     """Coordinates of a braid deformation in the simplex-face basis."""
-    d = p.arr.d
-    if d > 5 or p.arr.kind != arrg.KIND_A:
-        raise ValueError("type-A decompositions need a braid deformation with d <= 5")
-    gens, polys, face_order, cols = _a_system(d)
-    rows = [[col[i] for col in cols] for i in range(len(face_order))]
-    rhs = polyclass.psi1(p).to_vector(face_order)
-    sol = linalg.solve_unique(rows, rhs)
-    return {s: c for s, c in zip(gens, sol)}
+    return _edge_length_solve(
+        p, arrg.KIND_A, 5, _a_system, "type-A decompositions need a braid deformation"
+    )
 
 
 def reconstruction_holds(p, coeffs, polys):

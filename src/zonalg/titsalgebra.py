@@ -238,8 +238,9 @@ def gamma_element(d, t):
     return TitsElement(arr, out)
 
 
-def gamma_family(d, t):
-    """(gamma_t, its Eulerian family) for the coordinate arrangement.
+def gamma_family(d):
+    """The Eulerian family of the gamma_t for the coordinate arrangement (one
+    family for every t != 1).
 
     E_{X_S} = sum_{T subset S} (-1)^{|S minus T|} H_{F_T}, where F_T is the
     intersection of the first orthant with the flat X_T.
@@ -247,7 +248,6 @@ def gamma_family(d, t):
     import itertools
 
     arr = arrg.coordinate(d)
-    gamma = gamma_element(d, t)
     family = {}
     for x in arrg.flats(arr):
         s = sorted(x.data)
@@ -258,7 +258,7 @@ def gamma_family(d, t):
                 sign = -1 if (len(s) - r) % 2 else 1
                 out[f] = out.get(f, Fraction(0)) + sign
         family[x] = TitsElement(arr, out)
-    return gamma, EulerianFamily(arr, family)
+    return EulerianFamily(arr, family)
 
 
 def family_reconstructs(element, family, t):

@@ -266,3 +266,31 @@ def test_equal_faces_and_flats_hash_alike(arr):
 def test_parse_flat_rejects_non_partitions(arr, text):
     with pytest.raises(ValueError):
         parse_flat(arr, text)
+
+
+@pytest.mark.parametrize("arr", [arrg.braid(4), arrg.type_b(3)], ids=str)
+def test_flat_type_reads_the_payload(arr):
+    for x in arrg.flats(arr):
+        if arr.kind == arrg.KIND_A:
+            want = (0, tuple(sorted(len(b) for b in x.data)))
+        else:
+            zero, blocks = x.data
+            # the two blocks of a ± pair have one size
+            want = (len(zero) // 2, tuple(sorted(len(b) for b in blocks))[::2])
+        assert arrg.flat_type(x) == want
+        assert sum(want[1]) + want[0] == arr.d and len(want[1]) == x.dim
+    with pytest.raises(ValueError):
+        arrg.flat_type(arrg.bottom_flat(arrg.coordinate(2)))
+
+
+def test_arrangement_named():
+    for names, kind in ((("A", "a", "braid", "Braid"), "A"), (("B", "typeB", "TYPEB"), "B"),
+                        (("C", "cube", "Coordinate"), "C")):
+        for name in names:
+            assert arrg.arrangement_named(name, 3) == arrg.Arrangement(kind, 3)
+    for name in ("D", "", 1, None):
+        with pytest.raises(ValueError, match="unknown arrangement type"):
+            arrg.arrangement_named(name, 3)
+    for d in (3.0, "3", True, None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            arrg.arrangement_named("A", d)

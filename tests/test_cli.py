@@ -7,7 +7,7 @@ import pytest
 
 from zonalg import arrangement as arrg
 from zonalg import spectra
-from zonalg.cli import main, verify_cube, verify_thm_b
+from zonalg.cli import main, verify_cube, verify_thm_a, verify_thm_b
 
 
 def run_cli(capsys, *argv):
@@ -260,3 +260,57 @@ def test_verify_cube_names_first_mismatch(monkeypatch):
     bad = report["results"][2]
     assert bad["mobius_indicator"] is False
     assert bad["first_mismatch"] == {"flat": arrg.flat_str(x), "r": r, "value": 2, "want": 1}
+
+
+def test_verify_thm_a_names_first_mismatch(monkeypatch):
+    arr = arrg.braid(3)
+    x = arrg.flats(arr)[2]
+    want = spectra.eta_mobius(arr).value(x, 1)
+    real = spectra.eta_permutations
+    monkeypatch.setattr(
+        spectra, "eta_permutations", lambda a: _raised(real(a), x, 1) if a == arr else real(a)
+    )
+    report = verify_thm_a(3, 2)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good["ok"] and "first_mismatch" not in good
+    assert bad["mobius_vs_permutations"] is False
+    assert bad["first_mismatch"] == {
+        "flat": arrg.flat_str(x),
+        "r": 1,
+        "mobius": want,
+        "permutations": want + 1,
+    }
+
+
+def _decompose_json(tmp_path, capsys, data, kind="A"):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    return run_cli(capsys, "decompose", "--type", kind, "--input", str(path))
+
+
+@pytest.mark.parametrize("d", [3.7, 3.0, "3", True])
+def test_polytope_json_d_not_an_integer_exits_2(tmp_path, capsys, d):
+    data = {"arrangement": "A", "d": d, "points": [["1", "2", "3"], ["2", "1", "3"]]}
+    code, out, err = _decompose_json(tmp_path, capsys, data)
+    assert code == 2 and out == ""
+    assert f"the dimension d must be an integer, got {d!r}" in err
+
+
+@pytest.mark.parametrize("name", ["braid", "BRAID", "a"])
+def test_polytope_json_and_eta_share_the_arrangement_names(tmp_path, capsys, name):
+    from zonalg import polyclass
+
+    data = polyclass.polytope_to_json(polyclass.permutahedron(3))
+    code, out, _ = _decompose_json(tmp_path, capsys, dict(data, arrangement=name))
+    assert code == 0 and json.loads(out)["reconstructs"] is True
+    code, out, _ = run_cli(capsys, "eta", "--type", name, "--d", "3")
+    assert code == 0 and json.loads(out)["arrangement"] == "A"
+
+
+@pytest.mark.parametrize("name", ["D", 3, None])
+def test_polytope_json_unknown_arrangement_exits_2(tmp_path, capsys, name):
+    data = {"arrangement": name, "d": 2, "points": [["0", "0"]]}
+    code, _, err = _decompose_json(tmp_path, capsys, data)
+    assert code == 2
+    assert f"unknown arrangement type {name!r}" in err

@@ -101,9 +101,8 @@ def test_inverse():
 
 def test_convention_conversion_exact():
     s = TruncSeries.from_coeffs([RatPoly.of(1)] * 5, 4, "egf")
-    t = s.with_convention("bgf")
     for d in range(5):
-        assert t.coeff(d, "egf") == RatPoly.of(1)
+        assert s.coeff(d, "egf") == RatPoly.of(1)
         assert s.coeff(d, "bgf") == RatPoly.of(Fraction(2 ** d * math.factorial(d), math.factorial(d)))
 
 
@@ -141,10 +140,10 @@ def test_verify_identities_quick():
 
 def test_cyclic_excedance_d3_value():
     # both sides of the cyclic identity at d=3 equal z + z^2
-    from zonalg.gfseries import _cyclic_excedance_poly, _partition_mobius_sum_A
+    from zonalg.gfseries import _cyclic_excedance_poly, _partition_mobius_sum
 
     assert _cyclic_excedance_poly(3) == RatPoly.of(0, 1, 1)
-    assert _partition_mobius_sum_A(3) == RatPoly.of(0, 1, 1)
+    assert _partition_mobius_sum(arrg.braid(3)) == RatPoly.of(0, 1, 1)
 
 
 def _poly(by_exc):
@@ -185,7 +184,7 @@ def test_grouped_mobius_sum_A5_matches_per_flat_sum():
             term = term * eulerian_A(len(block))
         return term
 
-    assert gfseries._partition_mobius_sum_A(5) == _per_flat_mobius_sum(arrg.braid(5), factor)
+    assert gfseries._partition_mobius_sum(arrg.braid(5)) == _per_flat_mobius_sum(arrg.braid(5), factor)
 
 
 def test_grouped_mobius_sum_B4_matches_per_flat_sum():
@@ -199,7 +198,7 @@ def test_grouped_mobius_sum_B4_matches_per_flat_sum():
             term = term * eulerian_A(m)
         return term
 
-    assert gfseries._partition_mobius_sum_B(4) == _per_flat_mobius_sum(arrg.type_b(4), factor)
+    assert gfseries._partition_mobius_sum(arrg.type_b(4)) == _per_flat_mobius_sum(arrg.type_b(4), factor)
 
 
 def test_corrupted_perm_stats_fails_bivariate_A(monkeypatch):
@@ -216,3 +215,23 @@ def test_corrupted_perm_stats_fails_bivariate_A(monkeypatch):
     assert bad["ok"] is False
     assert bad["first_mismatch"]["d"] == 4
     assert all(r["ok"] for r in report.values())
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_cyclic_excedance_poly_matches_cycle_objects(d):
+    import itertools
+
+    from zonalg.permstat import Permutation
+
+    by_exc = {}
+    for rest in itertools.permutations(range(2, d + 1)):
+        e = Permutation.from_cycles(d, [(1,) + rest]).exc()
+        by_exc[e] = by_exc.get(e, 0) + 1
+    assert gfseries._cyclic_excedance_poly(d) == _poly(by_exc)
+
+
+def test_unknown_convention_is_rejected():
+    with pytest.raises(ValueError, match="unknown convention"):
+        TruncSeries.from_coeffs([1, 1], 1, "egff")
+    with pytest.raises(ValueError, match="unknown convention"):
+        TruncSeries.one(2).coeff(1, "EGF")

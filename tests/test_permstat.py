@@ -269,3 +269,19 @@ def test_tally_bounds(monkeypatch):
         supp_exc_tally("B", 7)
     with pytest.raises(BoundExceededError, match="S_9 exceeds the bound 8"):
         gfseries._perm_stats(9)
+
+
+def test_exc_b_filter_needs_group_b():
+    with pytest.raises(ValueError, match="exc_b"):
+        enumerate_group("S", 3, exc_b=1)
+    # B_2(z) = 1 + 6z + z^2
+    assert [s.exc_b() for s in enumerate_group("B", 2, exc_b=1)] == [1] * 6
+
+
+def test_enumerate_group_filters_combine():
+    x = parse_flat(type_b(3), "{0:1 -1,2 3,-2 -3}")
+    got = enumerate_group("B", 3, supp=x, exc=1, exc_b=2)
+    want = [s for s in hyperoctahedral_group(3) if s.supp() == x and s.exc() == 1 and s.exc_b() == 2]
+    assert got == want and got
+    with pytest.raises(ValueError, match="unknown group"):
+        enumerate_group("D", 3)

@@ -519,7 +519,7 @@ def test_act_matches_facewise_oracle(case):
     if case == "adams-A3":
         family, classes = adams_family(3), _adams_classes()
     else:
-        family, classes = gamma_family(3, 2)[1], _gamma_classes()
+        family, classes = gamma_family(3), _gamma_classes()
     for x in classes:
         for e in family.elements.values():
             got = x.act(e)
