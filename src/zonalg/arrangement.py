@@ -11,7 +11,12 @@ Supported arrangements in R^d:
 * kind ``"C"`` -- the coordinate arrangement x_i = 0.  Faces are sign
   vectors in {-,0,+}^d, flats are subsets of [d] (coordinates pinned to 0).
 
-Faces carry a ``data`` payload whose shape depends on the kind:
+Each arrangement has one list of hyperplanes, ``hyperplanes(arr)``.  A face
+is its covector over that list: the sign of every hyperplane on the face,
+packed into two int bitmasks.  So the Tits product, the face order and the
+face of a point read only the list and the masks.  The kind shows only in
+the hyperplane list, the enumerators, the strings and the block view of a
+face (``_view``), which is shaped like this:
 
 * A: tuple of frozensets (the ordered blocks);
 * B: pair (tuple of frozensets, frozenset) -- the blocks strictly before
@@ -31,6 +36,7 @@ All values are immutable; every function is pure.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -87,25 +93,53 @@ def arrangement_named(name, d):
     return Arrangement(kind, d)
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=None)
+def hyperplanes(arr):
+    """The hyperplanes as signed pairs (a, b), each meaning x_a = x_b, with
+    x_{-i} = -x_i and x_0 = 0: x_i = x_j and (type B) x_i = -x_j for i < j,
+    then (types B and C) x_i = 0.  Bit k of a covector is hyperplane k."""
+    d = arr.d
+    out = []
+    if arr.kind != KIND_C:
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                out.append((i, j))
+                if arr.kind == KIND_B:
+                    out.append((i, -j))
+    if arr.kind != KIND_A:
+        out.extend((i, 0) for i in range(1, d + 1))
+    return tuple(out)
+
+
+# (kind, d, pos, neg) -> the live face with this covector
+_FACES = weakref.WeakValueDictionary()
+
+
 class Face:
-    arr: Arrangement
-    data: tuple
-    _hash: int = field(init=False, compare=False, repr=False)
+    """A face, stored as its covector: bit k of ``pos`` (of ``neg``) is set
+    when x_a - x_b > 0 (< 0) on the face, for the k-th hyperplane (a, b) of
+    ``hyperplanes(arr)``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arr.kind, self.arr.d, self.data)))
+    Faces are interned: building a face with the covector of a live face
+    returns that face, so equality and hashing are by identity.  The
+    support and the block view are computed once per face.
+    """
 
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("arr", "pos", "neg", "_support", "_view", "__weakref__")
+
+    def __new__(cls, arr, pos, neg):
+        key = (arr.kind, arr.d, pos, neg)
+        self = _FACES.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.arr, self.pos, self.neg = arr, pos, neg
+            self._support = self._view = None
+            _FACES[key] = self
+        return self
 
     @property
     def dim(self):
-        if self.arr.kind == KIND_A:
-            return len(self.data)
-        if self.arr.kind == KIND_B:
-            return len(self.data[0])
-        return sum(1 for s in self.data if s != 0)
+        return support(self).dim
 
     def __str__(self):
         return face_str(self)
@@ -144,25 +178,8 @@ class Flat:
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def _face_a(arr, blocks):
-    return Face(arr, tuple(frozenset(b) for b in blocks))
-
-
-def _face_b(arr, blocks, zero):
-    return Face(arr, (tuple(frozenset(b) for b in blocks), frozenset(zero)))
-
-
-def _face_c(arr, signs):
-    return Face(arr, tuple(int(s) for s in signs))
-
-
 def central_face(arr):
-    if arr.kind == KIND_A:
-        return _face_a(arr, [range(1, arr.d + 1)])
-    if arr.kind == KIND_B:
-        full = frozenset(range(1, arr.d + 1)) | frozenset(range(-arr.d, 0))
-        return _face_b(arr, (), full)
-    return _face_c(arr, (0,) * arr.d)
+    return Face(arr, 0, 0)
 
 
 def bottom_flat(arr):
@@ -210,13 +227,13 @@ def _set_partitions(items):
 
 
 def _face_sort_key(face):
-    arr = face.arr
-    if arr.kind == KIND_A:
-        return (face.dim, tuple(tuple(sorted(b)) for b in face.data))
-    if arr.kind == KIND_B:
-        blocks, zero = face.data
+    view = _view(face)
+    if face.arr.kind == KIND_A:
+        return (face.dim, tuple(tuple(sorted(b)) for b in view))
+    if face.arr.kind == KIND_B:
+        blocks, zero = view
         return (face.dim, tuple(tuple(sorted(b)) for b in blocks), tuple(sorted(zero)))
-    return (face.dim, face.data)
+    return (face.dim, view)
 
 
 def _flat_sort_key(flat):
@@ -233,10 +250,9 @@ def _flat_sort_key(flat):
 def faces(arr):
     """All faces of the arrangement, deterministically ordered by (dim, key)."""
     d = arr.d
-    out = []
+    views = []
     if arr.kind == KIND_A:
-        for comp in _set_compositions(tuple(range(1, d + 1))):
-            out.append(Face(arr, comp))
+        views.extend(_set_compositions(tuple(range(1, d + 1))))
     elif arr.kind == KIND_B:
         ground = tuple(range(1, d + 1))
         for zero_abs in _subsets(ground):
@@ -248,12 +264,10 @@ def faces(arr):
                     blocks = tuple(
                         frozenset(x * sign_of[x] for x in block) for block in comp
                     )
-                    out.append(_face_b(arr, blocks, zero))
+                    views.append((blocks, zero))
     else:
-        for signs in itertools.product((-1, 0, 1), repeat=d):
-            out.append(_face_c(arr, signs))
-    out.sort(key=_face_sort_key)
-    return tuple(out)
+        views.extend(itertools.product((-1, 0, 1), repeat=d))
+    return tuple(sorted((_face_of_view(arr, v) for v in views), key=_face_sort_key))
 
 
 def _subsets(items):
@@ -308,16 +322,21 @@ def chambers(arr):
 # support, order, product
 
 def support(face):
-    arr = face.arr
-    if arr.kind == KIND_A:
-        return Flat(arr, frozenset(face.data))
-    if arr.kind == KIND_B:
-        blocks, zero = face.data
-        nonzero = frozenset(blocks) | frozenset(
-            frozenset(-x for x in b) for b in blocks
-        )
-        return Flat(arr, (zero, nonzero))
-    return Flat(arr, frozenset(i + 1 for i, s in enumerate(face.data) if s == 0))
+    """The flat spanned by the face: the intersection of the hyperplanes its
+    covector is zero on."""
+    x = face._support
+    if x is None:
+        arr, view = face.arr, _view(face)
+        if arr.kind == KIND_A:
+            x = Flat(arr, frozenset(view))
+        elif arr.kind == KIND_B:
+            blocks, zero = view
+            nonzero = frozenset(blocks) | frozenset(frozenset(-e for e in b) for b in blocks)
+            x = Flat(arr, (zero, nonzero))
+        else:
+            x = Flat(arr, frozenset(i + 1 for i, s in enumerate(view) if s == 0))
+        face._support = x
+    return x
 
 
 def flat_leq(x, y):
@@ -392,82 +411,108 @@ def flat_type(flat):
     raise ValueError("flat types exist for the braid and type-B arrangements")
 
 
-def _full_blocks_b(face):
-    """Ordered block list of a type-B face including the zero block."""
-    blocks, zero = face.data
-    mirrored = tuple(frozenset(-x for x in b) for b in reversed(blocks))
-    return blocks + (zero,) + mirrored
-
-
 def tits_product(f, g):
-    """Tits product: refine each block of f by g, in g's order.
-
-    For type B the refinement works on the full symmetric block lists, so the
-    sign bookkeeping is automatic.  For the coordinate arrangement the product
-    is componentwise with 0 acting as the identity.
-    """
+    """Tits product: sign composition of the covectors, f's sign on every
+    hyperplane where f has one and g's elsewhere."""
     arr = f.arr
-    if arr != g.arr:
+    if arr is not g.arr and arr != g.arr:
         raise ValueError("faces from different arrangements")
-    if arr.kind == KIND_A:
-        out = []
-        for s in f.data:
-            for t in g.data:
-                piece = s & t
-                if piece:
-                    out.append(piece)
-        return Face(arr, tuple(out))
-    if arr.kind == KIND_B:
-        fb = _full_blocks_b(f)
-        gb = _full_blocks_b(g)
-        fzero_idx = len(f.data[0])
-        gzero_idx = len(g.data[0])
-        blocks = []
-        zero = frozenset()
-        for i, s in enumerate(fb):
-            for j, t in enumerate(gb):
-                piece = s & t
-                if not piece:
-                    continue
-                if i == fzero_idx and j == gzero_idx:
-                    zero = piece
-                else:
-                    blocks.append(piece)
-        m = len(blocks) // 2
-        return _face_b(arr, blocks[:m], zero)
-    signs = tuple(a if a != 0 else b for a, b in zip(f.data, g.data))
-    return _face_c(arr, signs)
+    free = ~(f.pos | f.neg)
+    return Face(arr, f.pos | g.pos & free, f.neg | g.neg & free)
 
 
 def face_leq(f, g):
-    """Face partial order: f <= g iff f is contained in (is a face of) g."""
-    arr = f.arr
-    if arr != g.arr:
+    """Face partial order: f <= g iff f is contained in (is a face of) g,
+    that is, g has f's sign wherever f has one (the conformal order)."""
+    if f.arr != g.arr:
         raise ValueError("faces from different arrangements")
-    if arr.kind == KIND_C:
-        return all(a == 0 or a == b for a, b in zip(f.data, g.data))
-    if arr.kind == KIND_A:
-        fb, gb = f.data, g.data
-    else:
-        fb, gb = _full_blocks_b(f), _full_blocks_b(g)
-        # zero blocks may be empty; drop empties for the covering test
-        fb = tuple(b for b in fb if b)
-        gb = tuple(b for b in gb if b)
-        if not f.data[1] and g.data[1]:
-            return False
-    idx = 0
-    for block in fb:
-        covered = set()
-        while covered != set(block):
-            if idx >= len(gb) or not gb[idx] <= block:
-                return False
-            covered |= gb[idx]
-            idx += 1
-    return idx == len(gb)
+    return not (f.pos & ~g.pos or f.neg & ~g.neg)
 
 
 # ---------------------------------------------------------------------------
-# geometry: canonical interior points and the face of a point
+# geometry: the block view, canonical interior points and the face of a point
+
+def _sign(face, a, b):
+    """The sign of x_a - x_b on the face, for distinct a, b in {0, ±1..±d}."""
+    if b == -a:  # x_a - x_{-a} = 2 x_a
+        b = 0
+    bit, s = _pair_signs(face.arr)[a, b]
+    return s if face.pos & bit else -s if face.neg & bit else 0
+
+
+@lru_cache(maxsize=None)
+def _pair_signs(arr):
+    """(a, b) -> (bit, s): x_a - x_b is s times x_p - x_q for the hyperplane
+    (p, q) at that bit."""
+    out = {}
+    for k, (p, q) in enumerate(hyperplanes(arr)):
+        for a, b, s in ((p, q, 1), (q, p, -1), (-p, -q, -1), (-q, -p, 1)):
+            out[a, b] = (1 << k, s)
+    return out
+
+
+def _view(face):
+    """The block view of the face (see the module docstring), read once."""
+    if face._view is None:
+        face._view = _read_view(face)
+    return face._view
+
+
+def _read_view(face):
+    """The block view read off the covector.  For types A and B it is the
+    total preorder that the covector puts on the (signed) ground set: blocks
+    of equal coordinates, by decreasing value."""
+    arr = face.arr
+    ground = range(1, arr.d + 1)
+    if arr.kind == KIND_C:
+        view = tuple(_sign(face, i, 0) for i in ground)
+    else:
+        if arr.kind == KIND_B:
+            ground = [e for i in ground for e in (i, -i)]
+        above = {e: sum(1 for f in ground if f != e and _sign(face, f, e) > 0) for e in ground}
+        view = tuple(
+            frozenset(e for e in ground if above[e] == n) for n in sorted(set(above.values()))
+        )
+        if arr.kind == KIND_B:
+            zero = frozenset(e for e in ground if _sign(face, e, 0) == 0)
+            view = (view[: (len(view) - bool(zero)) // 2], zero)
+    return view
+
+
+def _point(arr, view, variant=0):
+    """An integer point in the relative interior of the face with this view."""
+    x = [0] * arr.d
+    if arr.kind == KIND_A:
+        k = len(view)
+        for i, block in enumerate(view):
+            v = k - (i + 1)
+            for j in block:
+                x[j - 1] = v * v if variant else v
+    elif arr.kind == KIND_B:
+        blocks, _zero = view
+        m = len(blocks)
+        for i, block in enumerate(blocks):
+            v = m - i
+            val = v * v if variant else v
+            for e in block:
+                if e > 0:
+                    x[e - 1] = val
+                else:
+                    x[-e - 1] = -val
+    else:
+        for i, s in enumerate(view):
+            x[i] = s * (i + 2 if variant else 1)
+    return x
+
+
+def _face_of_view(arr, view):
+    """The face with this block view, which it keeps rather than reading it
+    off the covector again."""
+    face = face_of_point(arr, _point(arr, view))
+    if face._view is None:
+        face._view = view
+    return face
+
 
 def interior_point(face, variant=0):
     """A canonical rational point in the relative interior of the face.
@@ -475,58 +520,23 @@ def interior_point(face, variant=0):
     ``variant=1`` gives a second, independent interior point (used to check
     that computations do not depend on the choice).
     """
-    arr = face.arr
-    d = arr.d
-    x = [Fraction(0)] * d
-    if arr.kind == KIND_A:
-        k = len(face.data)
-        for i, block in enumerate(face.data):
-            v = k - (i + 1)
-            val = Fraction(v * v if variant else v)
-            for j in block:
-                x[j - 1] = val
-    elif arr.kind == KIND_B:
-        blocks, _zero = face.data
-        m = len(blocks)
-        for i, block in enumerate(blocks):
-            v = m - i
-            val = Fraction(v * v if variant else v)
-            for e in block:
-                if e > 0:
-                    x[e - 1] = val
-                else:
-                    x[-e - 1] = -val
-    else:
-        for i, s in enumerate(face.data):
-            mag = Fraction(i + 2 if variant else 1)
-            x[i] = s * mag
-    return tuple(x)
+    return tuple(Fraction(c) for c in _point(face.arr, _view(face), variant))
 
 
 def face_of_point(arr, point):
-    """The face whose relative interior contains the given point."""
-    d = arr.d
-    if arr.kind == KIND_A:
-        levels = sorted(set(point), reverse=True)
-        blocks = [frozenset(j + 1 for j in range(d) if point[j] == v) for v in levels]
-        return Face(arr, tuple(blocks))
-    if arr.kind == KIND_B:
-        pos_levels = sorted({abs(v) for v in point if v != 0}, reverse=True)
-        blocks = []
-        for v in pos_levels:
-            blk = set()
-            for j in range(d):
-                if point[j] == v:
-                    blk.add(j + 1)
-                elif point[j] == -v:
-                    blk.add(-(j + 1))
-            blocks.append(frozenset(blk))
-        zero = frozenset(
-            e for j in range(d) if point[j] == 0 for e in (j + 1, -(j + 1))
-        )
-        return _face_b(arr, blocks, zero)
-    signs = tuple(0 if v == 0 else (1 if v > 0 else -1) for v in point)
-    return _face_c(arr, signs)
+    """The face whose relative interior contains the given point: the signs
+    of x_a - x_b over the hyperplanes."""
+    # x[a] is x_a for every a in -d..d: x_0 = 0, and x_{-i} = -x_i sits at
+    # the negative index -i
+    x = (0, *point, *(-v for v in reversed(point)))
+    pos = neg = 0
+    for k, (a, b) in enumerate(hyperplanes(arr)):
+        v = x[a] - x[b]
+        if v > 0:
+            pos |= 1 << k
+        elif v < 0:
+            neg |= 1 << k
+    return Face(arr, pos, neg)
 
 
 def tits_product_geometric(f, g):
@@ -637,12 +647,12 @@ def _block_str_b(block):
 
 
 def face_str(face):
-    arr = face.arr
+    arr, view = face.arr, _view(face)
     if arr.kind == KIND_A:
-        return "|".join(_block_str_a(b, arr.d) for b in face.data)
+        return "|".join(_block_str_a(b, arr.d) for b in view)
     if arr.kind == KIND_B:
         parts = []
-        blocks, zero = face.data
+        blocks, zero = view
         mirrored = tuple(frozenset(-x for x in b) for b in reversed(blocks))
         for b in blocks:
             parts.append(_block_str_b(b))
@@ -650,7 +660,7 @@ def face_str(face):
         for b in mirrored:
             parts.append(_block_str_b(b))
         return "|".join(parts)
-    return "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in face.data)
+    return "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in view)
 
 
 def flat_str(flat):
@@ -690,8 +700,7 @@ def _parse_block(token, d):
 def parse_face(arr, text):
     text = text.strip()
     if arr.kind == KIND_A:
-        blocks = [_parse_block(tok, arr.d) for tok in text.split("|")]
-        face = Face(arr, tuple(blocks))
+        view = tuple(_parse_block(tok, arr.d) for tok in text.split("|"))
     elif arr.kind == KIND_B:
         toks = text.split("|")
         zero = frozenset()
@@ -709,12 +718,11 @@ def parse_face(arr, text):
             if len(blocks) % 2:
                 raise ValueError(f"cannot parse type-B face {text!r}")
             blocks = blocks[: len(blocks) // 2]
-        face = _face_b(arr, blocks, zero)
+        view = (tuple(blocks), zero)
     else:
-        signs = tuple(1 if c == "+" else (-1 if c == "-" else 0) for c in text)
-        face = _face_c(arr, signs)
-    _validate_face(face)
-    return face
+        view = tuple(1 if c == "+" else (-1 if c == "-" else 0) for c in text)
+    _validate_view(arr, view)
+    return _face_of_view(arr, view)
 
 
 def parse_flat(arr, text):
@@ -772,19 +780,18 @@ def _validate_flat(flat, text):
     return flat
 
 
-def _validate_face(face):
-    arr = face.arr
+def _validate_view(arr, view):
     ground = set(range(1, arr.d + 1))
     if arr.kind == KIND_A:
         seen = set()
-        for b in face.data:
+        for b in view:
             if not b or b & seen:
-                raise ValueError(f"invalid face {face.data}")
+                raise ValueError(f"invalid face {view}")
             seen |= b
         if seen != ground:
-            raise ValueError(f"face does not cover the ground set: {face.data}")
+            raise ValueError(f"face does not cover the ground set: {view}")
     elif arr.kind == KIND_B:
-        blocks, zero = face.data
+        blocks, zero = view
         if zero != frozenset(-e for e in zero):
             raise ValueError("zero block must be involution-inclusive")
         seen = set(zero)
@@ -797,5 +804,5 @@ def _validate_face(face):
         if {abs(e) for e in seen} != ground:
             raise ValueError("face does not cover the ground set")
     else:
-        if len(face.data) != arr.d or any(s not in (-1, 0, 1) for s in face.data):
+        if len(view) != arr.d or any(s not in (-1, 0, 1) for s in view):
             raise ValueError("invalid sign vector")

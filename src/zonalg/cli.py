@@ -60,6 +60,23 @@ def _mobius_vs_permutations(arr):
     return em, entry
 
 
+def _rank_route(entry, key, ranked, em):
+    """Record under ``key`` whether the idempotent-rank table agrees with the
+    Möbius table and, when it does not, name the first (flat, r) that differs
+    under ``rank_mismatch``; returns the verdict."""
+    first = ranked.first_difference(em)
+    entry[key] = first is None
+    if first is not None:
+        x, r = first
+        entry["rank_mismatch"] = {
+            "flat": arrg.flat_str(x),
+            "r": r,
+            "rank": ranked.value(x, r),
+            "mobius": em.value(x, r),
+        }
+    return entry[key]
+
+
 def verify_thm_a(dmax=5, rank_dmax=spectra.RANK_BOUND):
     results = []
     for d in range(2, dmax + 1):
@@ -67,8 +84,7 @@ def verify_thm_a(dmax=5, rank_dmax=spectra.RANK_BOUND):
         em, entry = _mobius_vs_permutations(arr)
         ok = entry["mobius_vs_permutations"]
         if d <= rank_dmax:
-            entry["idempotent_rank_agrees"] = spectra.eta_idempotent_rank(d).same_values(em)
-            ok = ok and entry["idempotent_rank_agrees"]
+            ok = _rank_route(entry, "idempotent_rank_agrees", spectra.eta_idempotent_rank(d), em) and ok
         entry["flats"] = len(arrg.flats(arr))
         entry["ok"] = ok
         results.append(entry)
@@ -108,8 +124,7 @@ def verify_cube(dmax=5, rank_dmax=spectra.RANK_BOUND):
                 "want": indicator.value(x, r),
             }
         if d <= rank_dmax:
-            entry["gamma_rank_agrees"] = spectra.eta_gamma_rank(d).same_values(em)
-            ok = ok and entry["gamma_rank_agrees"]
+            ok = _rank_route(entry, "gamma_rank_agrees", spectra.eta_gamma_rank(d), em) and ok
         entry["ok"] = ok
         results.append(entry)
     return _report("cube", results)
@@ -348,30 +363,14 @@ def _cmd_decompose(args):
 def _cmd_stats(args):
     d = args.d
     if args.group.upper() == "S":
-        elems = permstat.symmetric_group(d)
-        rows = [
-            {
-                "cycles": str(s),
-                "exc": s.exc(),
-                "des": s.des(),
-                "supp": arrg.flat_str(s.supp()),
-            }
-            for s in elems
-        ]
+        elems, stats = permstat.symmetric_group(d), permstat.stats
     else:
-        elems = permstat.hyperoctahedral_group(d)
-        rows = [
-            {
-                "cycles": str(s),
-                "exc": s.exc(),
-                "fneg": s.fneg(),
-                "fexc": s.fexc(),
-                "exc_B": s.exc_b(),
-                "des": s.des(),
-                "supp": arrg.flat_str(s.supp()),
-            }
-            for s in elems
-        ]
+        elems, stats = permstat.hyperoctahedral_group(d), permstat.stats_signed
+    rows = []
+    for s in elems:
+        row = {"cycles": str(s), **stats(s)}
+        row["supp"] = arrg.flat_str(row["supp"])
+        rows.append(row)
     if args.flat:
         arr = arrg.braid(d) if args.group.upper() == "S" else arrg.type_b(d)
         want = arrg.flat_str(arrg.parse_flat(arr, args.flat))

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import arrangement as arrg
 from . import polyclass
-from .arrangement import Face
 from .linalg import Combination
 from .polyclass import PiElement, VPolytope
 
@@ -72,18 +71,13 @@ def gp_product(p, q):
     return LabeledGP.make(labels, VPolytope(arrg.braid(len(labels)), verts, assume_vertices=True))
 
 
-def _two_block_face(p, s_labels):
-    s = frozenset(i + 1 for i, lab in enumerate(p.labels) if lab in s_labels)
-    t = frozenset(range(1, p.n + 1)) - s
-    return Face(arrg.braid(p.n), (s, t))
-
-
 def gp_coproduct(p, s_labels):
     """(p restricted to S, p contracted by S) for a nonempty proper subset S."""
     s_labels = frozenset(s_labels)
     if not s_labels < set(p.labels) or not s_labels:
         raise ValueError("S must be a nonempty proper subset of the labels")
-    face = _two_block_face(p, s_labels)
+    # the two-block face S|T: x = 1 on S and 0 on T
+    face = arrg.face_of_point(arrg.braid(p.n), tuple(int(lab in s_labels) for lab in p.labels))
     q = p.poly.face_max(face)
     s_sorted = tuple(sorted(s_labels))
     t_sorted = tuple(sorted(set(p.labels) - s_labels))

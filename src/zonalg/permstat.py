@@ -170,6 +170,7 @@ def stats_signed(sigma):
         "fneg": sigma.fneg(),
         "fexc": sigma.fexc(),
         "exc_B": sigma.exc_b(),
+        "des": sigma.des(),
         "supp": sigma.supp(),
     }
 

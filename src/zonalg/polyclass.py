@@ -573,18 +573,13 @@ def segment(arr, v):
 
 
 def hyperplane_normals(arr):
-    d = arr.d
-    out = []
-    if arr.kind in (arrg.KIND_A, arrg.KIND_B):
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                out.append(tuple(Fraction(1 if k == i else (-1 if k == j else 0)) for k in range(1, d + 1)))
-                if arr.kind == arrg.KIND_B:
-                    out.append(tuple(Fraction(1 if k in (i, j) else 0) for k in range(1, d + 1)))
-    if arr.kind in (arrg.KIND_B, arrg.KIND_C):
-        for i in range(1, d + 1):
-            out.append(tuple(Fraction(1 if k == i else 0) for k in range(1, d + 1)))
-    return out
+    """The normal e_a - e_b of each hyperplane x_a = x_b of
+    ``arrg.hyperplanes``, with e_{-i} = -e_i and e_0 = 0."""
+    zero = (Fraction(0),) * arr.d
+    return [
+        tuple(p - q for p, q in zip(_unit(arr, a) if a else zero, _unit(arr, b) if b else zero))
+        for a, b in arrg.hyperplanes(arr)
+    ]
 
 
 def zonotope_of(arr):
@@ -692,5 +687,13 @@ def polytope_to_json(p):
 
 def polytope_from_json(data):
     arr = arrg.arrangement_named(data["arrangement"], data["d"])
-    pts = [tuple(Fraction(c) for c in row) for row in data["points"]]
+    pts = [tuple(_json_coordinate(c) for c in row) for row in data["points"]]
     return VPolytope(arr, pts)
+
+
+def _json_coordinate(c):
+    """An exact coordinate from a JSON integer or a string such as "1/2"; a
+    float or a bool would be read as something else, so it is rejected."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise ValueError(f'a coordinate must be a JSON integer or a string such as "1/2", got {c!r}')
+    return Fraction(c)

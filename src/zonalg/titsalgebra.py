@@ -9,19 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import arrangement as arrg
-from .arrangement import Face
 from .linalg import Combination, to_integers
-
-_product_cache = {}
-
-
-def _cached_product(f, g):
-    key = (f, g)
-    out = _product_cache.get(key)
-    if out is None:
-        out = arrg.tits_product(f, g)
-        _product_cache[key] = out
-    return out
 
 
 class TitsElement(Combination):
@@ -48,7 +36,7 @@ class TitsElement(Combination):
         out = {}
         for f, a in zip(self.terms, ints_a):
             for g, b in right:
-                fg = _cached_product(f, g)
+                fg = arrg.tits_product(f, g)
                 out[fg] = out.get(fg, 0) + a * b
         den = den_a * den_b
         return TitsElement._make(self.arr, {fg: Fraction(v, den) for fg, v in out.items() if v})
@@ -209,8 +197,9 @@ def adams_family(d):
                 if not arrg.face_leq(f, g):
                     continue
                 deg = 1
-                for block in f.data:
-                    deg *= sum(1 for b in g.data if b <= block)
+                blocks_g = arrg.support(g).data
+                for block in x.data:
+                    deg *= sum(1 for b in blocks_g if b <= block)
                 sign = -1 if (g.dim - f.dim) % 2 else 1
                 out[g] = out.get(g, Fraction(0)) + pref * Fraction(sign, deg)
         family[x] = TitsElement(arr, out)
@@ -219,8 +208,7 @@ def adams_family(d):
 
 def _first_orthant_face(arr, zero_set):
     """The face of the coordinate arrangement: 0 on zero_set, + elsewhere."""
-    signs = tuple(0 if i + 1 in zero_set else 1 for i in range(arr.d))
-    return Face(arr, signs)
+    return arrg.face_of_point(arr, tuple(0 if i in zero_set else 1 for i in range(1, arr.d + 1)))
 
 
 def gamma_element(d, t):
@@ -232,7 +220,7 @@ def gamma_element(d, t):
     arr = arrg.coordinate(d)
     out = {}
     for f in arrg.faces(arr):
-        if any(s < 0 for s in f.data):
+        if f.neg:
             continue
         out[f] = (t - 1) ** f.dim
     return TitsElement(arr, out)

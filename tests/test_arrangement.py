@@ -194,6 +194,13 @@ def test_interior_point_recovers_face():
                 assert face_of_point(arr, interior_point(f, variant)) == f
 
 
+@pytest.mark.parametrize("arr", [braid(4), type_b(3), coordinate(3)])
+def test_enumerated_views_are_read_off_the_covectors(arr):
+    # faces() hands each face the block view it was built from
+    for f in faces(arr):
+        assert arrg._read_view(f) == arrg._view(f)
+
+
 @pytest.mark.parametrize("arr", [braid(3), type_b(2), coordinate(2)])
 def test_face_leq_poset(arr):
     o = central_face(arr)
@@ -232,7 +239,7 @@ def test_equal_faces_and_flats_hash_alike(arr):
     twin = arrg.Arrangement(arr.kind, arr.d)
     assert twin is not arr
     for f in faces(arr):
-        g = arrg.Face(twin, f.data)
+        g = arrg.Face(twin, f.pos, f.neg)
         assert g == f and hash(g) == hash(f)
         assert {f: 1}[g] == 1 and len({f, g}) == 1
         assert parse_face(twin, face_str(f)) == f
@@ -242,7 +249,25 @@ def test_equal_faces_and_flats_hash_alike(arr):
         assert {x: 1}[y] == 1 and len({x, y}) == 1
     f = faces(arr)[0]
     assert not hasattr(f, "__dict__")
-    assert arrg.Face(arrg.Arrangement(arr.kind, arr.d + 1), f.data) != f
+    assert arrg.Face(arrg.Arrangement(arr.kind, arr.d + 1), f.pos, f.neg) != f
+
+
+def test_intern_table_holds_only_live_faces():
+    import gc
+    import weakref
+
+    arr = braid(11)  # faces(braid(11)) is never enumerated, so no cache holds these faces
+    f = arrg.face_of_point(arr, tuple(range(11)))
+    key = ("A", 11, f.pos, f.neg)
+    # while f is alive, equal covectors give f itself
+    assert arrg.Face(arrg.Arrangement("A", 11), f.pos, f.neg) is f
+    assert parse_face(arr, face_str(f)) is f
+    assert arrg._FACES[key] is f
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert key not in arrg._FACES
 
 
 @pytest.mark.parametrize(

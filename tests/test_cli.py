@@ -283,6 +283,26 @@ def test_verify_thm_a_names_first_mismatch(monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "route, verify, arr, key",
+    [
+        ("eta_idempotent_rank", verify_thm_a, arrg.braid(3), "idempotent_rank_agrees"),
+        ("eta_gamma_rank", verify_cube, arrg.coordinate(3), "gamma_rank_agrees"),
+    ],
+)
+def test_rank_routes_name_first_mismatch(monkeypatch, route, verify, arr, key):
+    x = arrg.flats(arr)[1]
+    want = spectra.eta_mobius(arr).value(x, 1)
+    real = getattr(spectra, route)
+    monkeypatch.setattr(spectra, route, lambda d: _raised(real(d), x, 1) if d == arr.d else real(d))
+    report = verify(3, 3)
+    assert report["ok"] is False
+    *good, bad = report["results"]
+    assert all(e["ok"] and "rank_mismatch" not in e for e in good)
+    assert bad[key] is False and "first_mismatch" not in bad
+    assert bad["rank_mismatch"] == {"flat": arrg.flat_str(x), "r": 1, "rank": want + 1, "mobius": want}
+
+
 def _decompose_json(tmp_path, capsys, data, kind="A"):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(data))
@@ -295,6 +315,21 @@ def test_polytope_json_d_not_an_integer_exits_2(tmp_path, capsys, d):
     code, out, err = _decompose_json(tmp_path, capsys, data)
     assert code == 2 and out == ""
     assert f"the dimension d must be an integer, got {d!r}" in err
+
+
+@pytest.mark.parametrize("points", [[[0.1, 0], [0, 0.1]], [[True, 0], [0, 1]], [[1.0, 0], [0, 1]]])
+def test_polytope_json_coordinate_not_exact_exits_2(tmp_path, capsys, points):
+    data = {"arrangement": "A", "d": 2, "points": points}
+    code, out, err = _decompose_json(tmp_path, capsys, data)
+    assert code == 2 and out == ""
+    assert f"got {points[0][0]!r}" in err
+
+
+def test_polytope_json_takes_integers_and_fraction_strings(tmp_path, capsys):
+    data = {"arrangement": "A", "d": 2, "points": [["1/10", 0], [0, "1/10"]]}
+    code, out, _ = _decompose_json(tmp_path, capsys, data)
+    assert code == 0 and json.loads(out)["reconstructs"] is True
+    assert json.loads(out)["coefficients"] == {"Delta{1,2}": "1/10"}
 
 
 @pytest.mark.parametrize("name", ["braid", "BRAID", "a"])

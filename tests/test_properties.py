@@ -1,5 +1,7 @@
 """Property-based tests: face and flat strings round-trip at every d up to
-12, and the sparse combinations obey the laws of a rational vector space."""
+12, the covector Tits product, face order and support agree with their
+geometric oracles, and the sparse combinations obey the laws of a rational
+vector space."""
 
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonalg import arrangement as arrg
-from zonalg.arrangement import Arrangement, Face, braid, coordinate, type_b
+from zonalg.arrangement import Arrangement, braid, coordinate, type_b
 from zonalg.polyclass import (
     PiElement,
     cube,
@@ -25,31 +27,15 @@ _FEW = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def faces_up_to_12(draw, kind):
-    """A face of the kind's arrangement in R^d, d drawn from 1..12."""
-    d = draw(st.integers(1, 12))
-    arr = Arrangement(kind, d)
-    if kind == arrg.KIND_C:
-        return Face(arr, tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d))))
-    order = draw(st.permutations(range(1, d + 1)))
-    zero = ()
-    if kind == arrg.KIND_B:
-        nzero = draw(st.integers(0, d))
-        zero, order = order[:nzero], order[nzero:]
-        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(order), max_size=len(order)))
-        order = [e * s for e, s in zip(order, signs)]
-    cuts = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-    blocks, block = [], []
-    for e, cut in zip(order, cuts):
-        block.append(e)
-        if cut:
-            blocks.append(frozenset(block))
-            block = []
-    if block:
-        blocks.append(frozenset(block))
-    if kind == arrg.KIND_A:
-        return Face(arr, tuple(blocks))
-    return Face(arr, (tuple(blocks), frozenset(zero) | frozenset(-e for e in zero)))
+def faces_up_to_12(draw, kind, max_d=12):
+    """A face of the kind's arrangement in R^d, d drawn from 1..max_d: the
+    face of an integer point in [-d, d]^d (every face is one)."""
+    d = draw(st.integers(1, max_d))
+    return arrg.face_of_point(Arrangement(kind, d), draw(_points(d)))
+
+
+def _points(d):
+    return st.lists(st.integers(-d, d), min_size=d, max_size=d)
 
 
 @pytest.mark.parametrize("kind", arrg._KINDS)
@@ -65,18 +51,66 @@ def test_face_and_flat_strings_round_trip(kind, data):
 
 def test_strings_from_d10_separate_every_element():
     a10 = braid(10)
-    face = Face(a10, (frozenset({10}), frozenset(range(1, 10))))
+    e10 = (0,) * 9 + (1,)
+    face = arrg.face_of_point(a10, e10)
     assert arrg.face_str(face) == "10|1 2 3 4 5 6 7 8 9"
     assert arrg.parse_face(a10, "10|1 2 3 4 5 6 7 8 9") == face
     flat = arrg.support(face)
     assert arrg.flat_str(flat) == "{1 2 3 4 5 6 7 8 9,10}"
     assert arrg.parse_flat(a10, "{1 2 3 4 5 6 7 8 9,10}") == flat
     b10 = type_b(10)
-    bface = Face(b10, ((frozenset({10}),), frozenset(e for i in range(1, 10) for e in (i, -i))))
+    bface = arrg.face_of_point(b10, e10)
     assert arrg.face_str(bface).startswith("10|0:1 -1 ")
     assert arrg.parse_face(b10, arrg.face_str(bface)) == bface
     # up to d = 9 the digits still run together
-    assert arrg.face_str(Face(braid(9), (frozenset({9}), frozenset(range(1, 9))))) == "9|12345678"
+    assert arrg.face_str(arrg.face_of_point(braid(9), (0,) * 8 + (1,))) == "9|12345678"
+
+
+# ---------------------------------------------------------------------------
+# the covector algebra at sampled d <= 7, against the geometric oracles
+
+def _face_pair(data, kind):
+    d = data.draw(st.integers(1, 7))
+    arr = Arrangement(kind, d)
+    return (arrg.face_of_point(arr, data.draw(_points(d))) for _ in range(2))
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_tits_product_is_the_geometric_product(kind, data):
+    f, g = _face_pair(data, kind)
+    assert arrg.tits_product(f, g) is arrg.tits_product_geometric(f, g)
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_face_order_is_absorption(kind, data):
+    """f <= h iff fh = h; and supp f <= supp h iff hf = h."""
+    f, g = _face_pair(data, kind)
+    # f <= fg always holds, so both outcomes are drawn
+    for h in (g, arrg.tits_product(f, g)):
+        assert arrg.face_leq(f, h) == (arrg.tits_product(f, h) is h)
+        assert arrg.flat_leq(arrg.support(f), arrg.support(h)) == (arrg.tits_product(h, f) is h)
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_support_of_product_is_join(kind, data):
+    f, g = _face_pair(data, kind)
+    fg = arrg.tits_product(f, g)
+    assert arrg.support(fg) == arrg.flat_join(arrg.support(f), arrg.support(g))
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_face_of_interior_point(kind, data):
+    f, _ = _face_pair(data, kind)
+    for variant in (0, 1):
+        assert arrg.face_of_point(f.arr, arrg.interior_point(f, variant)) is f
 
 
 # ---------------------------------------------------------------------------

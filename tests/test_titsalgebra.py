@@ -151,7 +151,7 @@ def test_gamma_c2_example():
     # only first-orthant faces appear anywhere in the family
     for e in fam.elements.values():
         for f in e.terms:
-            assert all(s >= 0 for s in f.data)
+            assert not f.neg
 
 
 def test_adams_product_reconstruction():
