@@ -424,32 +424,13 @@ def tits_product(f, g):
 def face_leq(f, g):
     """Face partial order: f <= g iff f is contained in (is a face of) g,
     that is, g has f's sign wherever f has one (the conformal order)."""
-    if f.arr != g.arr:
+    if f.arr is not g.arr and f.arr != g.arr:
         raise ValueError("faces from different arrangements")
     return not (f.pos & ~g.pos or f.neg & ~g.neg)
 
 
 # ---------------------------------------------------------------------------
 # geometry: the block view, canonical interior points and the face of a point
-
-def _sign(face, a, b):
-    """The sign of x_a - x_b on the face, for distinct a, b in {0, ±1..±d}."""
-    if b == -a:  # x_a - x_{-a} = 2 x_a
-        b = 0
-    bit, s = _pair_signs(face.arr)[a, b]
-    return s if face.pos & bit else -s if face.neg & bit else 0
-
-
-@lru_cache(maxsize=None)
-def _pair_signs(arr):
-    """(a, b) -> (bit, s): x_a - x_b is s times x_p - x_q for the hyperplane
-    (p, q) at that bit."""
-    out = {}
-    for k, (p, q) in enumerate(hyperplanes(arr)):
-        for a, b, s in ((p, q, 1), (q, p, -1), (-p, -q, -1), (-q, -p, 1)):
-            out[a, b] = (1 << k, s)
-    return out
-
 
 def _view(face):
     """The block view of the face (see the module docstring), read once."""
@@ -463,20 +444,25 @@ def _read_view(face):
     total preorder that the covector puts on the (signed) ground set: blocks
     of equal coordinates, by decreasing value."""
     arr = face.arr
-    ground = range(1, arr.d + 1)
+    signs = [(face.pos >> k & 1) - (face.neg >> k & 1) for k in range(len(hyperplanes(arr)))]
     if arr.kind == KIND_C:
-        view = tuple(_sign(face, i, 0) for i in ground)
-    else:
-        if arr.kind == KIND_B:
-            ground = [e for i in ground for e in (i, -i)]
-        above = {e: sum(1 for f in ground if f != e and _sign(face, f, e) > 0) for e in ground}
-        view = tuple(
-            frozenset(e for e in ground if above[e] == n) for n in sorted(set(above.values()))
-        )
-        if arr.kind == KIND_B:
-            zero = frozenset(e for e in ground if _sign(face, e, 0) == 0)
-            view = (view[: (len(view) - bool(zero)) // 2], zero)
-    return view
+        return tuple(signs)
+    ground = range(1, arr.d + 1)
+    if arr.kind == KIND_B:
+        ground = [e for i in ground for e in (i, -i)]
+    above = dict.fromkeys(ground, 0)  # how many elements lie strictly above each
+    for s, (p, q) in zip(signs, hyperplanes(arr)):
+        # the pairs of elements that hyperplane (p, q) orders:
+        # x_p - x_q = x_{-q} - x_{-p}, and x_p - x_{-p} = 2 (x_p - x_0)
+        for a, b in ((p, q), (-q, -p)) if q else ((p, -p),):
+            if s and a in above and b in above:
+                above[b if s > 0 else a] += 1
+    levels = sorted(set(above.values()))
+    blocks = tuple(frozenset(e for e in ground if above[e] == n) for n in levels)
+    if arr.kind == KIND_A:
+        return blocks
+    zero = frozenset(e for e in ground if above[e] == above[-e])
+    return blocks[: (len(blocks) - bool(zero)) // 2], zero
 
 
 def _point(arr, view, variant=0):

@@ -70,9 +70,8 @@ def test_strings_from_d10_separate_every_element():
 # the covector algebra at sampled d <= 7, against the geometric oracles
 
 def _face_pair(data, kind):
-    d = data.draw(st.integers(1, 7))
-    arr = Arrangement(kind, d)
-    return (arrg.face_of_point(arr, data.draw(_points(d))) for _ in range(2))
+    f = data.draw(faces_up_to_12(kind, max_d=7))
+    return f, arrg.face_of_point(f.arr, data.draw(_points(f.arr.d)))
 
 
 @pytest.mark.parametrize("kind", arrg._KINDS)
