@@ -13,10 +13,12 @@ Supported arrangements in R^d:
 
 Each arrangement has one list of hyperplanes, ``hyperplanes(arr)``.  A face
 is its covector over that list: the sign of every hyperplane on the face,
-packed into two int bitmasks.  So the Tits product, the face order and the
-face of a point read only the list and the masks.  The kind shows only in
-the hyperplane list, the enumerators, the strings and the block view of a
-face (``_view``), which is shaped like this:
+packed into two int bitmasks.  A flat is the zero set of the covectors of
+its faces, one int bitmask.  So the Tits product, the face order, the face
+of a point, the support map and the flat order and join read only the list
+and the masks.  The kind shows only in the hyperplane list, the face
+enumerator, the strings and the block view of a face (``_view``), which is
+shaped like this:
 
 * A: tuple of frozensets (the ordered blocks);
 * B: pair (tuple of frozensets, frozenset) -- the blocks strictly before
@@ -24,11 +26,10 @@ face (``_view``), which is shaped like this:
   the mirrored negatives and are not stored;
 * C: tuple of ints in {-1, 0, +1}.
 
-Flat payloads:
-
-* A: frozenset of frozensets;
-* B: pair (frozenset zero block, frozenset of all nonzero signed blocks);
-* C: frozenset of the zero coordinates.
+The blocks of a flat (``flat_blocks``) are read once per flat and are
+shaped alike for every kind: the zero block, and one block per ± pair of
+the other blocks.  Dimensions, flat types, Möbius values and strings are
+read off them.
 
 All values are immutable; every function is pure.
 """
@@ -36,8 +37,9 @@ All values are immutable; every function is pure.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,25 +150,35 @@ class Face:
         return f"Face<{face_str(self)}>"
 
 
-@dataclass(frozen=True, slots=True)
+# (kind, d, zero) -> the live flat with this zero set
+_FLATS = weakref.WeakValueDictionary()
+
+
 class Flat:
-    arr: Arrangement
-    data: tuple
-    _hash: int = field(init=False, compare=False, repr=False)
+    """A flat, stored as its zero set: bit k of ``zero`` is set when the flat
+    lies in the k-th hyperplane of ``hyperplanes(arr)``.  ``zero`` is the zero
+    set of a covector, so a closed set; ``flat_of_blocks`` builds a flat from
+    any blocks.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arr.kind, self.arr.d, self.data)))
+    Flats are interned like faces, so equality and hashing are by identity.
+    The blocks are read once per flat.
+    """
 
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("arr", "zero", "_blocks", "__weakref__")
+
+    def __new__(cls, arr, zero):
+        key = (arr.kind, arr.d, zero)
+        self = _FLATS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.arr, self.zero = arr, zero
+            self._blocks = None
+            _FLATS[key] = self
+        return self
 
     @property
     def dim(self):
-        if self.arr.kind == KIND_A:
-            return len(self.data)
-        if self.arr.kind == KIND_B:
-            return len(self.data[1]) // 2
-        return self.arr.d - len(self.data)
+        return len(flat_blocks(self)[1])
 
     def __str__(self):
         return flat_str(self)
@@ -188,14 +200,81 @@ def bottom_flat(arr):
 
 
 def top_flat(arr):
-    if arr.kind == KIND_A:
-        return Flat(arr, frozenset(frozenset([i]) for i in range(1, arr.d + 1)))
-    if arr.kind == KIND_B:
-        blocks = frozenset(frozenset([i]) for i in range(1, arr.d + 1)) | frozenset(
-            frozenset([-i]) for i in range(1, arr.d + 1)
-        )
-        return Flat(arr, (frozenset(), blocks))
-    return Flat(arr, frozenset())
+    return Flat(arr, 0)
+
+
+def _neg(block):
+    return frozenset(-e for e in block)
+
+
+def _classes(arr, groups):
+    """The blocks of the partition of {-d..d} in which the elements of each
+    group are equal, with x_{-a} = -x_a and x_0 = 0: a = b also makes
+    -a = -b, and a class that meets its own negative is 0.  Returned as
+    (zero block, pair blocks): the class of 0 without 0, and one block of
+    each ± pair of the other classes, the one whose element of least
+    absolute value is positive, in the order of that element."""
+    d = arr.d
+    cls = {e: frozenset([e]) for e in range(-d, d + 1)}
+    for a, *rest in groups:
+        for b in rest:
+            for p, q in ((a, b), (-a, -b)):
+                merged = cls[p] | cls[q]
+                if -p in merged:  # x_p = -x_p, so x_p = 0
+                    merged |= cls[0]
+                for e in merged:
+                    cls[e] = merged
+    zero = cls[0] - {0}
+    pairs = (cls[e] for e in range(1, d + 1) if e not in zero and min(cls[e], key=abs) == e)
+    return zero, tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _plane_bits(arr):
+    """The bit of hyperplane x_a = x_b, under (a, b), (b, a), (-a, -b) and
+    (-b, -a)."""
+    out = {}
+    for k, (a, b) in enumerate(hyperplanes(arr)):
+        for pair in ((a, b), (b, a), (-a, -b), (-b, -a)):
+            out[pair] = 1 << k
+    return out
+
+
+def _flat_of_classes(arr, zero, blocks):
+    """The flat with these blocks, in the form ``_classes`` returns, which it
+    keeps rather than reading them off the zero set again: it lies in the
+    hyperplanes x_a = x_b of every two elements of one block, 0 counted in
+    the zero block."""
+    bits = _plane_bits(arr)
+    zero_set = 0
+    for block in ((0, *zero), *blocks):
+        for pair in itertools.combinations(block, 2):
+            zero_set |= bits.get(pair, 0)
+    flat = Flat(arr, zero_set)
+    if flat._blocks is None:
+        flat._blocks = zero, blocks
+    return flat
+
+
+def flat_of_blocks(arr, zero, blocks):
+    """The flat on which x_e = 0 for every e in ``zero`` and x_a = x_b for
+    a, b in one block, with x_{-a} = -x_a: a block that meets its own
+    negative falls into the zero block."""
+    return _flat_of_classes(arr, *_classes(arr, ((0, *zero), *blocks)))
+
+
+def flat_blocks(flat):
+    """(zero block, pair blocks) of the flat, read once off its zero set:
+    the classes of {-d..d} under x_a = x_b for every hyperplane (a, b) the
+    flat lies in (see ``_classes``)."""
+    if flat._blocks is None:
+        flat._blocks = _read_blocks(flat)
+    return flat._blocks
+
+
+def _read_blocks(flat):
+    planes = hyperplanes(flat.arr)
+    return _classes(flat.arr, (planes[k] for k in range(len(planes)) if flat.zero >> k & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +316,13 @@ def _face_sort_key(face):
 
 
 def _flat_sort_key(flat):
-    arr = flat.arr
-    if arr.kind == KIND_A:
-        return (flat.dim, tuple(sorted(tuple(sorted(b)) for b in flat.data)))
-    if arr.kind == KIND_B:
-        zero, blocks = flat.data
-        return (flat.dim, tuple(sorted(zero)), tuple(sorted(tuple(sorted(b)) for b in blocks)))
-    return (flat.dim, tuple(sorted(flat.data)))
+    zero, blocks = flat_blocks(flat)
+    rows = [tuple(sorted(b)) for b in blocks]
+    if flat.arr.kind == KIND_B:
+        # every signed block, the negative of each ± pair too
+        rows += [tuple(-e for e in reversed(r)) for r in rows]
+        return (len(blocks), tuple(sorted(zero)), tuple(sorted(rows)))
+    return (len(blocks), tuple(sorted(e for e in zero if e > 0)), tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -277,40 +356,36 @@ def _subsets(items):
 
 @lru_cache(maxsize=None)
 def flats(arr):
-    """All flats, deterministically ordered by (dim, key)."""
-    d = arr.d
+    """All flats, deterministically ordered by (dim, key).  Each is built
+    from a zero set (types B and C), a set partition of the other
+    coordinates (into singletons for C) and, for B, the signs of all but the
+    least element of each block, and is handed these blocks."""
+    ground = tuple(range(1, arr.d + 1))
     out = []
-    if arr.kind == KIND_A:
-        for part in _set_partitions(tuple(range(1, d + 1))):
-            out.append(Flat(arr, frozenset(part)))
-    elif arr.kind == KIND_B:
-        ground = tuple(range(1, d + 1))
-        for zero_abs in _subsets(ground):
-            live = tuple(x for x in ground if x not in zero_abs)
-            zero = frozenset(zero_abs) | frozenset(-x for x in zero_abs)
-            for part in _set_partitions(live):
-                # sign choices: the minimum of each block is fixed positive
-                choices = []
-                for block in part:
-                    blk = tuple(sorted(block))
-                    rest = blk[1:]
-                    opts = []
-                    for signs in itertools.product((1, -1), repeat=len(rest)):
-                        s = frozenset([blk[0]]) | frozenset(
-                            x * e for x, e in zip(rest, signs)
-                        )
-                        opts.append(s)
-                    choices.append(opts)
-                for combo in itertools.product(*choices):
-                    blocks = frozenset(combo) | frozenset(
-                        frozenset(-x for x in s) for s in combo
-                    )
-                    out.append(Flat(arr, (zero, blocks)))
-    else:
-        for sub in _subsets(tuple(range(1, d + 1))):
-            out.append(Flat(arr, frozenset(sub)))
+    for pinned in _subsets(ground) if arr.kind != KIND_A else [()]:
+        live = tuple(x for x in ground if x not in pinned)
+        zero = frozenset(pinned) | _neg(pinned)
+        if arr.kind == KIND_C:
+            parts = [tuple(frozenset([x]) for x in live)]
+        else:
+            parts = (sorted(part, key=min) for part in _set_partitions(live))
+        for part in parts:
+            signings = [part]
+            if arr.kind == KIND_B:
+                signings = itertools.product(*map(_signings, part))
+            for blocks in signings:
+                out.append(_flat_of_classes(arr, zero, tuple(blocks)))
     out.sort(key=_flat_sort_key)
     return tuple(out)
+
+
+def _signings(block):
+    """The block with every sign on its elements but the least."""
+    least, *rest = sorted(block)
+    return [
+        frozenset([least, *(x * e for x, e in zip(rest, signs))])
+        for signs in itertools.product((1, -1), repeat=len(rest))
+    ]
 
 
 def chambers(arr):
@@ -326,63 +401,25 @@ def support(face):
     covector is zero on."""
     x = face._support
     if x is None:
-        arr, view = face.arr, _view(face)
-        if arr.kind == KIND_A:
-            x = Flat(arr, frozenset(view))
-        elif arr.kind == KIND_B:
-            blocks, zero = view
-            nonzero = frozenset(blocks) | frozenset(frozenset(-e for e in b) for b in blocks)
-            x = Flat(arr, (zero, nonzero))
-        else:
-            x = Flat(arr, frozenset(i + 1 for i, s in enumerate(view) if s == 0))
-        face._support = x
+        full = (1 << len(hyperplanes(face.arr))) - 1
+        x = face._support = Flat(face.arr, full & ~(face.pos | face.neg))
     return x
 
 
 def flat_leq(x, y):
-    """True iff x <= y in the lattice of flats (y refines x)."""
-    arr = x.arr
-    if arr != y.arr:
+    """True iff x <= y in the lattice of flats (y refines x): y lies in no
+    hyperplane that x does not lie in."""
+    if x.arr != y.arr:
         raise ValueError("flats from different arrangements")
-    if arr.kind == KIND_A:
-        return all(any(b <= a for a in x.data) for b in y.data)
-    if arr.kind == KIND_B:
-        zx, bx = x.data
-        zy, by = y.data
-        if not zy <= zx:
-            return False
-        return all(any(b <= a for a in bx) or b <= zx for b in by)
-    return y.data <= x.data
+    return not y.zero & ~x.zero
 
 
 def flat_join(x, y):
-    """Least upper bound: the common refinement (blockwise intersections)."""
-    arr = x.arr
-    if arr != y.arr:
+    """Least upper bound, the common refinement: the hyperplanes both lie in,
+    since supp(FG) = supp F v supp G and FG is zero where both are."""
+    if x.arr != y.arr:
         raise ValueError("flats from different arrangements")
-    if arr.kind == KIND_A:
-        blocks = set()
-        for a in x.data:
-            for b in y.data:
-                piece = a & b
-                if piece:
-                    blocks.add(piece)
-        return Flat(arr, frozenset(blocks))
-    if arr.kind == KIND_B:
-        zx, bx = x.data
-        zy, by = y.data
-        xs = list(bx) + [zx]
-        ys = list(by) + [zy]
-        zero = zx & zy
-        blocks = set()
-        for a in xs:
-            for b in ys:
-                piece = a & b
-                if piece and piece != zero:
-                    blocks.add(piece)
-        blocks.discard(frozenset())
-        return Flat(arr, (zero, frozenset(b for b in blocks if not b <= zero)))
-    return Flat(arr, x.data & y.data)
+    return Flat(x.arr, x.zero & y.zero)
 
 
 def flats_geq(x):
@@ -393,22 +430,14 @@ def faces_with_support(arr, x):
     return [f for f in faces(arr) if support(f) == x]
 
 
-def _pair_representatives(blocks):
-    """One block of each ± pair of a signed flat's nonzero blocks: the one
-    whose element of least absolute value is positive."""
-    return [b for b in blocks if min(b, key=abs) > 0]
-
-
 def flat_type(flat):
-    """(zero-block size, sorted block sizes) of a type-A or type-B flat.  In
-    type B the zero block counts its ± pairs and each ± pair of nonzero
-    blocks is one block; in type A the zero block is empty."""
-    if flat.arr.kind == KIND_A:
-        return 0, tuple(sorted(map(len, flat.data)))
-    if flat.arr.kind == KIND_B:
-        zero, blocks = flat.data
-        return len(zero) // 2, tuple(sorted(map(len, _pair_representatives(blocks))))
-    raise ValueError("flat types exist for the braid and type-B arrangements")
+    """(zero-block size, sorted block sizes) of a type-A or type-B flat.  The
+    zero block counts its ± pairs and each ± pair of the other blocks is one
+    block; in type A the zero block is empty."""
+    if flat.arr.kind == KIND_C:
+        raise ValueError("flat types exist for the braid and type-B arrangements")
+    zero, blocks = flat_blocks(flat)
+    return len(zero) // 2, tuple(sorted(map(len, blocks)))
 
 
 def tits_product(f, g):
@@ -538,49 +567,30 @@ def tits_product_geometric(f, g):
 # ---------------------------------------------------------------------------
 # Möbius function and characteristic polynomials
 
-def _mobius_partition_factor(num_blocks):
-    # mu(bottom, X) for a set partition with num_blocks blocks
-    k = num_blocks
-    sign = -1 if (k - 1) % 2 else 1
-    fact = 1
-    for i in range(1, k):
-        fact *= i
-    return sign * fact
-
-
-def _mobius_signed_factor(num_pairs):
-    # mu(bottom, X) for a signed partition with num_pairs nonzero block pairs
-    k = num_pairs
-    sign = -1 if k % 2 else 1
-    dfact = 1
-    for i in range(2 * k - 1, 0, -2):
-        dfact *= i
-    return sign * dfact
-
-
 def mobius(x, y):
-    """Möbius function of the flat lattice, via the product formulas."""
-    arr = x.arr
-    if arr != y.arr:
-        raise ValueError("flats from different arrangements")
+    """Möbius function of the flat lattice, by the product formula: over the
+    blocks of x, (-1)^(k-1) (k-1)! for the k blocks of y inside it, times, for
+    the j block pairs of y inside the zero block of x, (-1)^j (2j-1)!! in type
+    B and (-1)^j for the coordinate arrangement (type A has no zero block)."""
     if not flat_leq(x, y):
         raise ValueError("mobius requires x <= y")
-    if arr.kind == KIND_A:
-        result = 1
-        for block in x.data:
-            inside = sum(1 for b in y.data if b <= block)
-            result *= _mobius_partition_factor(inside)
-        return result
-    if arr.kind == KIND_B:
-        zx, bx = x.data
-        zy, by = y.data
-        pairs_in_zero = sum(1 for b in by if b <= zx) // 2
-        result = _mobius_signed_factor(pairs_in_zero)
-        for block in _pair_representatives(bx):
-            inside = sum(1 for b in by if b <= block)
-            result *= _mobius_partition_factor(inside)
-        return result
-    return (-1) ** (len(x.data) - len(y.data))
+    zx, bx = flat_blocks(x)
+    where = {}
+    for k, block in enumerate(bx):
+        for e in block:
+            where[e] = where[-e] = k
+    inside = [0] * len(bx)
+    j = 0
+    for block in flat_blocks(y)[1]:
+        e = next(iter(block))
+        if e in zx:
+            j += 1
+        else:
+            inside[where[e]] += 1
+    result = (-1) ** j * (math.prod(range(2 * j - 1, 0, -2)) if x.arr.kind == KIND_B else 1)
+    for k in inside:
+        result *= (-1) ** (k - 1) * math.factorial(k - 1)
+    return result
 
 
 def mobius_recursive(x, y, _memo=None):
@@ -623,11 +633,6 @@ def _block_str_a(block, d):
     return (" " if d >= 10 else "").join(str(i) for i in sorted(block))
 
 
-def _signed_block_sort_key(block):
-    m = min(abs(e) for e in block)
-    return (m, 0 if m in block else 1)
-
-
 def _block_str_b(block):
     return " ".join(str(e) for e in sorted(block, key=lambda e: (abs(e), e < 0)))
 
@@ -639,30 +644,26 @@ def face_str(face):
     if arr.kind == KIND_B:
         parts = []
         blocks, zero = view
-        mirrored = tuple(frozenset(-x for x in b) for b in reversed(blocks))
         for b in blocks:
             parts.append(_block_str_b(b))
         parts.append("0:" + _block_str_b(zero))
-        for b in mirrored:
-            parts.append(_block_str_b(b))
+        for b in reversed(blocks):
+            parts.append(_block_str_b(_neg(b)))
         return "|".join(parts)
     return "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in view)
 
 
 def flat_str(flat):
     arr = flat.arr
+    zero, blocks = flat_blocks(flat)
     if arr.kind == KIND_A:
-        blocks = sorted(flat.data, key=min)
         return "{" + ",".join(_block_str_a(b, arr.d) for b in blocks) + "}"
     if arr.kind == KIND_B:
-        zero, blocks = flat.data
-        parts = []
-        if zero:
-            parts.append("0:" + _block_str_b(zero))
-        for b in sorted(blocks, key=_signed_block_sort_key):
-            parts.append(_block_str_b(b))
+        parts = ["0:" + _block_str_b(zero)] if zero else []
+        for b in blocks:
+            parts += [_block_str_b(b), _block_str_b(_neg(b))]
         return "{" + ",".join(parts) + "}"
-    return "X_{" + ",".join(str(i) for i in sorted(flat.data)) + "}"
+    return "X_{" + ",".join(str(i) for i in sorted(zero) if i > 0) + "}"
 
 
 def face_terms_json(terms):
@@ -706,7 +707,10 @@ def parse_face(arr, text):
             blocks = blocks[: len(blocks) // 2]
         view = (tuple(blocks), zero)
     else:
-        view = tuple(1 if c == "+" else (-1 if c == "-" else 0) for c in text)
+        signs = {"+": 1, "-": -1, "0": 0}
+        if any(c not in signs for c in text):
+            raise ValueError(f"invalid sign vector {text!r}")
+        view = tuple(signs[c] for c in text)
     _validate_view(arr, view)
     return _face_of_view(arr, view)
 
@@ -714,56 +718,39 @@ def parse_face(arr, text):
 def parse_flat(arr, text):
     text = text.strip()
     if arr.kind == KIND_C:
-        inner = text
-        if inner.startswith("X_"):
-            inner = inner[2:]
-        inner = inner.strip("{}")
-        items = frozenset(int(t) for t in inner.replace(",", " ").split()) if inner.strip() else frozenset()
-        return _validate_flat(Flat(arr, items), text)
-    inner = text.strip("{}")
-    tokens = [t for t in inner.split(",") if t.strip()]
-    if arr.kind == KIND_A:
-        blocks = [_parse_block(t, arr.d) for t in tokens]
-        if len(set(blocks)) != len(blocks):
-            raise ValueError(f"flat {text!r} repeats a block")
-        return _validate_flat(Flat(arr, frozenset(blocks)), text)
-    zero = frozenset()
-    blocks = set()
-    for tok in tokens:
-        tok = tok.strip()
-        if tok.startswith("0:"):
-            zero = _parse_block(tok[2:], arr.d)
-        else:
-            blocks.add(_parse_block(tok, arr.d))
-    blocks |= {frozenset(-e for e in b) for b in blocks}
-    return _validate_flat(Flat(arr, (zero, frozenset(blocks))), text)
-
-
-def _validate_flat(flat, text):
-    """The flat itself, if its blocks partition the ground set: [d] for type
-    A, [±d] for type B (with a zero block closed under negation and nonzero
-    blocks that miss their own negatives); the zero set must lie in [d] for
-    the coordinate arrangement."""
-    arr = flat.arr
-    ground = frozenset(range(1, arr.d + 1))
-    if arr.kind == KIND_C:
-        if not flat.data <= ground:
+        inner = text[2:] if text.startswith("X_") else text
+        zero = frozenset(int(t) for t in inner.strip("{}").replace(",", " ").split())
+        if not zero <= frozenset(range(1, arr.d + 1)):
             raise ValueError(f"flat {text!r} is not a subset of [{arr.d}]")
-        return flat
-    if arr.kind == KIND_A:
-        blocks = list(flat.data)
-    else:
-        zero, nonzero = flat.data
-        ground = ground | frozenset(-e for e in ground)
-        if zero != frozenset(-e for e in zero):
+        return flat_of_blocks(arr, zero, ())
+    zero = frozenset()
+    blocks = []
+    for tok in text.strip("{}").split(","):
+        tok = tok.strip()
+        if arr.kind == KIND_B and tok.startswith("0:"):
+            zero = _parse_block(tok[2:], arr.d)
+        elif tok:
+            blocks.append(_parse_block(tok, arr.d))
+    _validate_flat(arr, zero, blocks, text)
+    return flat_of_blocks(arr, zero, blocks)
+
+
+def _validate_flat(arr, zero, blocks, text):
+    """Check that the blocks partition the ground set: [d] for type A, [±d]
+    for type B, where the zero block must be closed under negation, and each
+    other block must miss its own negative and stands for itself and its
+    negative (so it may be listed once or twice)."""
+    ground = frozenset(range(1, arr.d + 1))
+    if arr.kind == KIND_B:
+        ground |= _neg(ground)
+        if zero != _neg(zero):
             raise ValueError(f"flat {text!r}: the zero block is not closed under negation")
-        if any(b & frozenset(-e for e in b) for b in nonzero):
+        if any(b & _neg(b) for b in blocks):
             raise ValueError(f"flat {text!r}: a nonzero block meets its own negative")
-        blocks = list(nonzero) + ([zero] if zero else [])
+        blocks = list({*blocks, *map(_neg, blocks)}) + ([zero] if zero else [])
     covered = frozenset().union(*blocks)
     if not all(blocks) or sum(map(len, blocks)) != len(covered) or covered != ground:
         raise ValueError(f"flat {text!r} is not a partition of the ground set of {arr.kind}{arr.d}")
-    return flat
 
 
 def _validate_view(arr, view):

@@ -110,7 +110,7 @@ def verify_cube(dmax=5, rank_dmax=spectra.RANK_BOUND):
         arr = arrg.coordinate(d)
         em = spectra.eta_mobius(arr)
         indicator = spectra.EtaTable(
-            arr, "indicator", {(x, len(x.data)): 1 for x in arrg.flats(arr)}
+            arr, "indicator", {(x, d - x.dim): 1 for x in arrg.flats(arr)}
         )
         first = em.first_difference(indicator)
         ok = first is None
@@ -164,14 +164,13 @@ def verify_conjecture(dmax=4):
     results = []
     for d in range(2, dmax + 1):
         rep = spectra.conjecture_check(d)
-        results.append(
-            {
-                "d": d,
-                "independent": rep["all_independent"],
-                "extremal_products_fixed": rep["extremal_products_fixed"],
-                "ok": rep["all_independent"] and rep["extremal_products_fixed"],
-            }
-        )
+        entry = {"d": d, "independent": rep["all_independent"]}
+        if not entry["independent"]:
+            first = next(g for g in rep["groups"] if not g["ok"])
+            entry["first_mismatch"] = {k: first[k] for k in ("flat", "r", "count", "rank", "eta")}
+        entry["extremal_products_fixed"] = rep["extremal_products_fixed"]
+        entry["ok"] = rep["all_independent"] and rep["extremal_products_fixed"]
+        results.append(entry)
     return _report("conjecture", results)
 
 

@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .arrangement import Flat, braid, type_b
+from .arrangement import braid, flat_of_blocks, type_b
 
 
 def env_int(name, default):
@@ -88,7 +88,7 @@ class Permutation(_Cycles):
         return sum(1 for i in range(1, self.d) if self(i) > self(i + 1))
 
     def supp(self):
-        return Flat(braid(self.d), frozenset(frozenset(c) for c in self.cycles()))
+        return flat_of_blocks(braid(self.d), (), self.cycles())
 
     @classmethod
     def from_cycles(cls, d, cycles):
@@ -138,16 +138,9 @@ class SignedPermutation(_Cycles):
         return (self.fexc() + 1) // 2
 
     def supp(self):
-        """Signed partition: cycles, with self-negative cycles merged into the zero block."""
-        zero = set()
-        blocks = set()
-        for cyc in self.cycles():
-            s = frozenset(cyc)
-            if s & frozenset(-e for e in s):
-                zero |= s
-            else:
-                blocks.add(s)
-        return Flat(type_b(self.d), (frozenset(zero), frozenset(blocks)))
+        """Signed partition of the cycles: a self-negative cycle falls into
+        the zero block."""
+        return flat_of_blocks(type_b(self.d), (), self.cycles())
 
     @classmethod
     def from_cycles(cls, d, cycles):

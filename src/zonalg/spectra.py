@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from . import arrangement as arrg
 from . import linalg, permstat, polyclass, titsalgebra
-from .arrangement import Flat
 from .gfseries import RatPoly, eulerian_A, h_of_type
 from .polyclass import PiElement, log_class
 
@@ -76,7 +75,7 @@ class EtaTable:
 def _flat_h_product(flat):
     """h-polynomial of the zonotope face at a flat, by the product formulas."""
     if flat.arr.kind == arrg.KIND_C:
-        return RatPoly.of(1, 1) ** len(flat.data)
+        return RatPoly.of(1, 1) ** (flat.arr.d - flat.dim)
     return h_of_type(arrg.flat_type(flat))
 
 
@@ -275,7 +274,7 @@ def x_flat(flat):
     segments from its minimum."""
     arr = flat.arr
     prod = PiElement.one(arr)
-    for block in flat.data:
+    for block in arrg.flat_blocks(flat)[1]:
         m = min(block)
         for j in sorted(block):
             if j != m:
@@ -311,8 +310,8 @@ def conjecture_check(d):
         expected = eta.value(x, r)
         ok = tracker.rank == len(sigmas) == expected
         all_pass = all_pass and ok
-        non_singletons = sum(1 for b in x.data if len(b) > 1)
-        extremal = r == non_singletons or r == d - len(x.data)
+        non_singletons = sum(1 for b in arrg.flat_blocks(x)[1] if len(b) > 1)
+        extremal = r == non_singletons or r == d - x.dim
         records.append(
             {
                 "flat": arrg.flat_str(x),
@@ -328,7 +327,6 @@ def conjecture_check(d):
     extremal_ok = True
     for x in arrg.flats(arr):
         xe = x_flat(x)
-        r = d - len(x.data)
         if xe.phi().is_zero():
             extremal_ok = False
         acted = xe.act(fam[x])
@@ -359,7 +357,7 @@ def y_basis_cube(d):
     for k in range(0, d + 1):
         for s in itertools.combinations(range(1, d + 1), k):
             y = _y_product(arr, s)
-            flat = Flat(arr, frozenset(s))
+            flat = arrg.flat_of_blocks(arr, s, ())
             nonzero = not y.phi().is_zero()
             graded = y.dilate(2).phi() == y.phi().scale(Fraction(2) ** k)
             fixed = polyclass.pi_equal(y.act(fam[flat]), y)

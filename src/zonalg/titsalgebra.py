@@ -197,8 +197,8 @@ def adams_family(d):
                 if not arrg.face_leq(f, g):
                     continue
                 deg = 1
-                blocks_g = arrg.support(g).data
-                for block in x.data:
+                blocks_g = arrg.flat_blocks(arrg.support(g))[1]
+                for block in arrg.flat_blocks(x)[1]:
                     deg *= sum(1 for b in blocks_g if b <= block)
                 sign = -1 if (g.dim - f.dim) % 2 else 1
                 out[g] = out.get(g, Fraction(0)) + pref * Fraction(sign, deg)
@@ -238,7 +238,7 @@ def gamma_family(d):
     arr = arrg.coordinate(d)
     family = {}
     for x in arrg.flats(arr):
-        s = sorted(x.data)
+        s = sorted(e for e in arrg.flat_blocks(x)[0] if e > 0)
         out = {}
         for r in range(len(s) + 1):
             for sub in itertools.combinations(s, r):

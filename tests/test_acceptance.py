@@ -204,7 +204,7 @@ def test_criterion_09_x_sigma_program():
                 blocks = [frozenset(j)] + [
                     frozenset({i}) for i in range(1, d + 1) if i not in j
                 ]
-                xj = arrg.Flat(arr, frozenset(blocks))
+                xj = arrg.flat_of_blocks(arr, (), blocks)
                 vec = log_class(simplex(arr, frozenset(j))).act(fam[xj])
                 ok = ok and not vec.phi().is_zero()
                 tracker.add(vec.phi().to_vector(face_order))
@@ -249,6 +249,6 @@ def test_criterion_12_cross_oracles():
                 ok = False
             if forest.leaves() != p.exc():
                 ok = False
-            if frozenset(frozenset(t.nodes()) for t in forest.trees) != frozenset(p.supp().data):
+            if frozenset(frozenset(t.nodes()) for t in forest.trees) != frozenset(arrg.flat_blocks(p.supp())[1]):
                 ok = False
     _report(12, "cross-oracle combinatorics", ok, t0, 60)

@@ -232,6 +232,10 @@ def test_parse_rejects_bad_faces():
         parse_face(arr, "12|2")
     with pytest.raises(ValueError):
         parse_face(arr, "1|2")
+    # a sign vector holds only +, - and 0, one per coordinate
+    for text in ("+x-", "+ -", "+-"):
+        with pytest.raises(ValueError):
+            parse_face(coordinate(3), text)
 
 
 @pytest.mark.parametrize("arr", [braid(3), type_b(2), coordinate(3)])
@@ -244,11 +248,11 @@ def test_equal_faces_and_flats_hash_alike(arr):
         assert {f: 1}[g] == 1 and len({f, g}) == 1
         assert parse_face(twin, face_str(f)) == f
     for x in flats(arr):
-        y = arrg.Flat(twin, x.data)
+        y = arrg.Flat(twin, x.zero)
         assert y == x and hash(y) == hash(x)
         assert {x: 1}[y] == 1 and len({x, y}) == 1
     f = faces(arr)[0]
-    assert not hasattr(f, "__dict__")
+    assert not hasattr(f, "__dict__") and not hasattr(flats(arr)[0], "__dict__")
     assert arrg.Face(arrg.Arrangement(arr.kind, arr.d + 1), f.pos, f.neg) != f
 
 
@@ -268,6 +272,49 @@ def test_intern_table_holds_only_live_faces():
     gc.collect()
     assert ref() is None
     assert key not in arrg._FACES
+
+
+def test_intern_table_holds_only_live_flats():
+    import gc
+    import weakref
+
+    arr = braid(11)  # flats(braid(11)) is never enumerated, so no cache holds these flats
+    x = arrg.flat_of_blocks(arr, (), [(1, 2), (3, 4, 5)])
+    key = ("A", 11, x.zero)
+    # while x is alive, equal zero sets give x itself
+    assert arrg.Flat(arrg.Arrangement("A", 11), x.zero) is x
+    assert parse_flat(arr, flat_str(x)) is x
+    assert arrg._FLATS[key] is x
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None
+    assert key not in arrg._FLATS
+
+
+@pytest.mark.parametrize("arr", [braid(5), type_b(4), coordinate(5)], ids=str)
+def test_enumerated_blocks_are_read_off_the_zero_sets(arr):
+    # flats() hands each flat the blocks it was built from; they are the
+    # blocks read off its zero set, and they give back that zero set
+    xs = flats(arr)
+    assert len({x.zero for x in xs}) == len(xs)
+    for x in xs:
+        blocks = arrg._read_blocks(x)
+        assert blocks == arrg.flat_blocks(x)
+        assert arrg.flat_of_blocks(arr, *blocks) is x
+        assert len(blocks[1]) == x.dim
+
+
+def test_flat_of_blocks_merges_blocks():
+    b3 = type_b(3)
+    want = parse_flat(b3, "{0:2 -2,1,-1,3,-3}")
+    # a self-negative cycle falls into the zero block
+    assert arrg.flat_of_blocks(b3, (), [(1,), (-1,), (2, -2), (3,)]) is want
+    assert arrg.flat_of_blocks(b3, (2,), [(1,), (3,)]) is want
+    # blocks that meet are merged, and a = b also makes -a = -b
+    assert flat_str(arrg.flat_of_blocks(b3, (), [(1, -2), (-2, 3)])) == "{1 -2 3,-1 2 -3}"
+    assert arrg.flat_of_blocks(braid(3), (), [(1, 2), (2, 3)]) is bottom_flat(braid(3))
+    assert arrg.flat_of_blocks(coordinate(3), (1, 2, 3), ()) is bottom_flat(coordinate(3))
 
 
 @pytest.mark.parametrize(
@@ -296,12 +343,13 @@ def test_parse_flat_rejects_non_partitions(arr, text):
 @pytest.mark.parametrize("arr", [arrg.braid(4), arrg.type_b(3)], ids=str)
 def test_flat_type_reads_the_payload(arr):
     for x in arrg.flats(arr):
+        zero, blocks = arrg.flat_blocks(x)
         if arr.kind == arrg.KIND_A:
-            want = (0, tuple(sorted(len(b) for b in x.data)))
+            want = (0, tuple(sorted(len(b) for b in blocks)))
         else:
-            zero, blocks = x.data
             # the two blocks of a ± pair have one size
-            want = (len(zero) // 2, tuple(sorted(len(b) for b in blocks))[::2])
+            signed = blocks + tuple(frozenset(-e for e in b) for b in blocks)
+            want = (len(zero) // 2, tuple(sorted(len(b) for b in signed))[::2])
         assert arrg.flat_type(x) == want
         assert sum(want[1]) + want[0] == arr.d and len(want[1]) == x.dim
     with pytest.raises(ValueError):
@@ -319,3 +367,39 @@ def test_arrangement_named():
     for d in (3.0, "3", True, None):
         with pytest.raises(ValueError, match="must be an integer"):
             arrg.arrangement_named("A", d)
+
+
+# sha256 of the newline-joined flat_str of flats(arr) and face_str of
+# faces(arr): a changed order changes every report that lists flats or faces
+_ORDER_DIGESTS = {
+    ("A", 1): ("cd80994abb0d1e0465acdc560717676578c1774f461babbe67b4b131497a6305", "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("A", 2): ("61d42aebd162a253c2f3ba625a5b39678a9f59c554d7448f7ffa66c06217f3e3", "d10c4e5af7d4fb443c335fcd1e3814ecfa011f11143925ae13f3bc10812c8ca0"),
+    ("A", 3): ("23cce808041205d43b578c9a98d9c077e6a54d33320080b828659bceedf33815", "d40a0964b7c34310bdd9bf6ca398836825f052ede6c2041a67c0e4fe3f948cdf"),
+    ("A", 4): ("1c81cc69dd8084f9ce7ad71d73604f11d5fd0b331a2827d121d5b4f608bac17a", "df31020d361e397331529bcb9a5ec1307041a1b543ae09158ac5c7eaf352c82b"),
+    ("A", 5): ("0c0200dd1e91d581625d02b4d8643d55b96907da905248500c761ae277175ac9", "928c1229928a65c282bc265cb2aa3c1e7fd64d5a8328b1d48efe6622f928d246"),
+    ("A", 6): ("b70c616822aee997ea2c99cce7c3531660ac83c7938dde53532c33114f7d55a3", "9b9a4b3a50e25988df5b89f316a7e788b5e10250a3d3d9ade36d69be543f4ff5"),
+    ("B", 1): ("238e5b08a0c2a3eaea034709d4df5eda7ba61abd5fdc8a0e9f6e5e8690d4413e", "1baa9a561bd9ce89c598b798cbe6e49858d896245f9c06e53d3c0784abbc26a4"),
+    ("B", 2): ("67cee7eb2c3a3d33a59108f7d3c8532d23fe3e9e1c8178e9110141ba3728c109", "dc15079e1d70071ead26810a685d48eaeeddd6e4b094edeb63486d6469cf6e44"),
+    ("B", 3): ("cb9257758918896e8d4ac2a0743153ef182f936c2cc9bdab6d28f89586e0057c", "538d83283f2dfa56b26eb07b0ba1b2fad7918fbea5679400ae3420d38ec5379e"),
+    ("B", 4): ("b090d08db7f6a6b58544a9002310013a233109696a57ff9f16988c71ecd5c44e", "514db23915000656a94831930edc29f8fdae573f25aa92b37ed2504b6826e622"),
+    ("C", 1): ("043a4b95b7b0b523d7865a1c6dd20dfb36afb60fb7690c5117852e0f3138957d", "6662da1d072a8349eaee2139e9df3a4bb15ab2cde4e6c58ce7c070cce8704fae"),
+    ("C", 2): ("46fb9447efc46f8037073999c059caf4332d96abf3dc764eec88adab1318fde9", "944740868b215d55f6ffa820b129895ad00de9e81e72c48a36762abd5eedbf17"),
+    ("C", 3): ("7c74725f6183329c9e50c6d31af86432a05bf1925729bb11976a1d7451def4b2", "ea4bfe6975c886d744aec2c01ad5a8ab606d3498d2b678d802668aef7500ca69"),
+    ("C", 4): ("9d6eb222bf190dcf5a580805d8a89b8a2455471adf11c18b768a36668018ad9b", "61236c7aa436c74bf693869dc4be306b293268a338dd2c9454ffa4dbf4d68d6f"),
+    ("C", 5): ("417d29f2386ed0ff04578fec0ee7f81128b677facfc255256f630948bef6174e", "89f43e9c6a32e2b07eef6e6eeb0806522cd5e9277bdaaaaac869c6541be3451d"),
+    ("C", 6): ("f0a5c27289395d3d6a79d8dd42e14884cb073505e1d98e3ef988cc303a87e639", "27ca14b350f52ee7a4dc274b7868252533dac64e356b80fc96d93f778b8b9f94"),
+}
+
+
+@pytest.mark.parametrize("kind, d", sorted(_ORDER_DIGESTS))
+def test_flat_and_face_orders_are_pinned(kind, d):
+    import hashlib
+
+    def digest(strings):
+        return hashlib.sha256("\n".join(strings).encode()).hexdigest()
+
+    arr = arrg.Arrangement(kind, d)
+    assert (
+        digest(map(flat_str, flats(arr))),
+        digest(map(face_str, faces(arr))),
+    ) == _ORDER_DIGESTS[kind, d]

@@ -7,7 +7,7 @@ import pytest
 
 from zonalg import arrangement as arrg
 from zonalg import spectra
-from zonalg.cli import main, verify_cube, verify_thm_a, verify_thm_b
+from zonalg.cli import main, verify_conjecture, verify_cube, verify_thm_a, verify_thm_b
 
 
 def run_cli(capsys, *argv):
@@ -249,7 +249,7 @@ def test_verify_thm_b_names_first_mismatch(monkeypatch):
 def test_verify_cube_names_first_mismatch(monkeypatch):
     arr = arrg.coordinate(3)
     x = arrg.flats(arr)[3]
-    r = len(x.data)
+    r = arr.d - x.dim
     real = spectra.eta_mobius
     monkeypatch.setattr(
         spectra, "eta_mobius", lambda a: _raised(real(a), x, r) if a == arr else real(a)
@@ -260,6 +260,34 @@ def test_verify_cube_names_first_mismatch(monkeypatch):
     bad = report["results"][2]
     assert bad["mobius_indicator"] is False
     assert bad["first_mismatch"] == {"flat": arrg.flat_str(x), "r": r, "value": 2, "want": 1}
+
+
+def test_verify_conjecture_names_first_failing_group(monkeypatch):
+    real = spectra.conjecture_check
+
+    def failing(d):
+        rep = real(d)
+        if d == 3:
+            rep["groups"][2].update(rank=rep["groups"][2]["rank"] - 1, ok=False)
+            rep["groups"][4].update(ok=False)
+            rep["all_independent"] = False
+        return rep
+
+    monkeypatch.setattr(spectra, "conjecture_check", failing)
+    report = verify_conjecture(3)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good["ok"] and "first_mismatch" not in good
+    assert list(bad) == ["d", "independent", "first_mismatch", "extremal_products_fixed", "ok"]
+    assert bad["independent"] is False and bad["ok"] is False
+    group = real(3)["groups"][2]
+    assert bad["first_mismatch"] == {
+        "flat": group["flat"],
+        "r": group["r"],
+        "count": group["count"],
+        "rank": group["rank"] - 1,
+        "eta": group["eta"],
+    }
 
 
 def test_verify_thm_a_names_first_mismatch(monkeypatch):

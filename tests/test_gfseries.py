@@ -155,7 +155,7 @@ def test_bivariate_A_matches_per_element_sum(d):
     for t in (0, 1, 2, 3, 7):
         by_exc = {}
         for s in symmetric_group(d):
-            k = len(s.supp().data)
+            k = s.supp().dim
             by_exc[s.exc()] = by_exc.get(s.exc(), 0) + t ** k
         assert gfseries._bivariate_A(d, t) == _poly(by_exc)
 
@@ -180,7 +180,7 @@ def _per_flat_mobius_sum(arr, factor):
 def test_grouped_mobius_sum_A5_matches_per_flat_sum():
     def factor(x):
         term = RatPoly.of(1)
-        for block in x.data:
+        for block in arrg.flat_blocks(x)[1]:
             term = term * eulerian_A(len(block))
         return term
 
@@ -189,13 +189,11 @@ def test_grouped_mobius_sum_A5_matches_per_flat_sum():
 
 def test_grouped_mobius_sum_B4_matches_per_flat_sum():
     def factor(x):
-        zero, blocks = x.data
+        zero, blocks = arrg.flat_blocks(x)
         term = eulerian_B(len(zero) // 2)
-        # the two blocks of a ± pair have one size, so every other sorted
-        # size counts each pair once
-        sizes = sorted(len(b) for b in blocks)
-        for m in sizes[::2]:
-            term = term * eulerian_A(m)
+        # one block of each ± pair
+        for b in blocks:
+            term = term * eulerian_A(len(b))
         return term
 
     assert gfseries._partition_mobius_sum(arrg.type_b(4)) == _per_flat_mobius_sum(arrg.type_b(4), factor)

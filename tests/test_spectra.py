@@ -66,7 +66,7 @@ def test_cube_eta_indicator(d):
     em = eta_mobius(arr, check_geometric=True)
     for x in arrg.flats(arr):
         for r in range(0, d + 1):
-            assert em.value(x, r) == (1 if r == len(x.data) else 0)
+            assert em.value(x, r) == (1 if r == d - x.dim else 0)
 
 
 def test_row_sums_are_h_numbers():
@@ -106,7 +106,7 @@ def test_simultaneous_eigenspace_totals():
         em = eta_mobius(braid(d))
         counts = {}
         for s in symmetric_group(d):
-            key = (len(s.supp().data), s.exc())
+            key = (s.supp().dim, s.exc())
             counts[key] = counts.get(key, 0) + 1
         totals = {}
         for (x, r), v in em.entries.items():
