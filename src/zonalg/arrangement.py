@@ -124,10 +124,11 @@ class Face:
 
     Faces are interned: building a face with the covector of a live face
     returns that face, so equality and hashing are by identity.  The
-    support and the block view are computed once per face.
+    support, the block view and the integer interior point are computed
+    once per face.
     """
 
-    __slots__ = ("arr", "pos", "neg", "_support", "_view", "__weakref__")
+    __slots__ = ("arr", "pos", "neg", "_support", "_view", "_interior", "__weakref__")
 
     def __new__(cls, arr, pos, neg):
         key = (arr.kind, arr.d, pos, neg)
@@ -135,7 +136,7 @@ class Face:
         if self is None:
             self = object.__new__(cls)
             self.arr, self.pos, self.neg = arr, pos, neg
-            self._support = self._view = None
+            self._support = self._view = self._interior = None
             _FACES[key] = self
         return self
 
@@ -518,6 +519,13 @@ def _point(arr, view, variant=0):
         for i, s in enumerate(view):
             x[i] = s * (i + 2 if variant else 1)
     return x
+
+
+def _interior(face):
+    """The integer point ``_point`` of the face, as a tuple, computed once."""
+    if face._interior is None:
+        face._interior = tuple(_point(face.arr, _view(face)))
+    return face._interior
 
 
 def _face_of_view(arr, view):

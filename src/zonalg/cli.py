@@ -385,21 +385,23 @@ def _cmd_stats(args):
         f"{key}_histogram": {str(k): v for k, v in sorted(hist.items())},
         "rows": rows if args.list else [],
     }
-    _emit(payload, args.format, csv_rows=rows if args.list else None)
+    _emit(payload, args.format, csv_rows=rows)
     return 0
+
+
+def _has_rows(args):
+    """Whether the command prints rows, the only thing ``--format csv`` writes."""
+    return args.command == "eta" or (args.command == "stats" and args.list)
 
 
 def _emit(payload, fmt, csv_rows=None):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv" and csv_rows is not None:
-        if csv_rows:
-            cols = list(csv_rows[0])
-            print(",".join(cols))
-            for row in csv_rows:
-                print(",".join(f"\"{row[c]}\"" for c in cols))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif csv_rows:
+        cols = list(csv_rows[0])
+        print(",".join(cols))
+        for row in csv_rows:
+            print(",".join(f"\"{row[c]}\"" for c in cols))
 
 
 def build_parser():
@@ -414,7 +416,6 @@ def build_parser():
     eta.add_argument("--type", required=True, help="A | B | cube")
     eta.add_argument("--d", type=int, required=True)
     eta.add_argument("--flat", help="restrict to one flat (serialized form)")
-    eta.add_argument("--format", default="json", choices=("json", "csv", "text"))
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=sorted(_VERIFY))
@@ -425,20 +426,22 @@ def build_parser():
     ver.add_argument("--trials", type=int, default=10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--quick", action="store_true", help="CI bounds for 'all'")
-    ver.add_argument("--format", default="json", choices=("json", "csv", "text"))
 
     dec = sub.add_parser("decompose", help="signed-Minkowski decomposition")
     dec.add_argument("--type", required=True, choices=("A", "B", "a", "b"))
     dec.add_argument("--input", required=True, help="polytope JSON file")
-    dec.add_argument("--format", default="json", choices=("json", "csv", "text"))
 
     st = sub.add_parser("stats", help="permutation statistics")
     st.add_argument("--group", required=True, choices=("S", "B", "s", "b"))
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--flat", help="filter by support flat")
     st.add_argument("--list", action="store_true", help="include per-element rows")
-    st.add_argument("--format", default="json", choices=("json", "csv", "text"))
 
+    for cmd in (eta, ver, dec, st):
+        cmd.add_argument(
+            "--format", default="json", choices=("json", "csv"),
+            help="csv writes the rows of eta and of stats --list; elsewhere it is an input error",
+        )
     return ap
 
 
@@ -446,6 +449,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.format == "csv" and not _has_rows(args):
+            raise ValueError("--format csv writes rows, which only eta and stats --list print")
         if args.command == "eta":
             return _cmd_eta(args)
         if args.command == "verify":

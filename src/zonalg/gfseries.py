@@ -251,16 +251,6 @@ class TruncSeries:
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(self.order, tuple(out))
 
-    def compose(self, inner):
-        """self(inner(x)); the inner series must have zero constant term."""
-        inner = self._binop(inner)
-        if not inner.coeffs[0].is_zero():
-            raise ValueError("compose requires zero constant term in the inner series")
-        result = TruncSeries.zero(self.order)
-        for c in reversed(self.coeffs):
-            result = result * inner + TruncSeries.from_coeffs([c], self.order)
-        return result
-
     def exp(self):
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires zero constant term")
@@ -499,7 +489,7 @@ def verify_identities(order_a=None, order_b=None):
     # 1 + sum (-1)^d (2d-1)!! x^d/(2d)!! = (1+x)^{-1/2}
     mismatch = None
     dfs = TruncSeries.from_coeffs(
-        [RatPoly.of(Fraction((-1) ** d) * _double_factorial_odd(d)) for d in range(order_b + 1)],
+        [RatPoly.of(Fraction((-1) ** d * math.prod(range(2 * d - 1, 0, -2)))) for d in range(order_b + 1)],
         order_b,
         "bgf",
     )
@@ -551,14 +541,6 @@ def verify_identities(order_a=None, order_b=None):
     report.append(_record("supp-excedance-bivariate-B", order_b, mismatch is None, mismatch))
 
     return report
-
-
-def _double_factorial_odd(d):
-    """(2d-1)!! with the empty product equal to 1."""
-    out = 1
-    for k in range(2 * d - 1, 0, -2):
-        out *= k
-    return Fraction(out)
 
 
 def _coefficient_series(constant, c, order, convention):

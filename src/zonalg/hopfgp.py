@@ -101,23 +101,16 @@ def gp_coproduct(p, s_labels):
 
 def euler_map_polytope(p):
     """[p]^* = sum over faces q of p of (-1)^{dim q} [q]."""
-    acc = PiElement.zero(p.arr)
-    seen = set()
+    qs = {}
     for face in arrg.faces(p.arr):
         fs = p.face_set(face)
-        if fs in seen:
-            continue
-        seen.add(fs)
-        q = p.face_max(face)
-        acc = acc + PiElement.of(q, (-1) ** q.dim)
-    return acc
+        if fs not in qs:
+            qs[fs] = p.face_max(face)
+    return PiElement(p.arr, {q: (-1) ** q.dim for q in qs.values()})
 
 
 def euler_map(x):
-    acc = PiElement.zero(x.arr)
-    for p, c in x.terms.items():
-        acc = acc + euler_map_polytope(p).scale(c)
-    return acc
+    return PiElement.linear(x.arr, x.terms.items(), lambda p: euler_map_polytope(p).terms)
 
 
 def antipode_class(x, n=None):
@@ -141,18 +134,16 @@ class Tensor2(Combination):
 
     def phi2(self):
         """Weights on pairs of arrangement faces (the tensor of the embeddings)."""
-        out = {}
-        for (p, q), c in self.terms.items():
-            wp = polyclass.polytope_cone_weights(p).terms
-            wq = polyclass.polytope_cone_weights(q).terms
-            for f1, a in wp.items():
-                for f2, b in wq.items():
-                    key = (f1, f2)
-                    out[key] = out.get(key, Fraction(0)) + c * a * b
-        return {k: v for k, v in out.items() if v != 0}
+        return Combination.linear(self.arr, self.terms.items(), _tensor_weights)
 
     def is_zero_class(self):
-        return not self.phi2()
+        return self.phi2().is_zero()
+
+
+def _tensor_weights(pq):
+    wp = polyclass.polytope_cone_weights(pq[0]).terms
+    wq = polyclass.polytope_cone_weights(pq[1]).terms
+    return {(f1, f2): a * b for f1, a in wp.items() for f2, b in wq.items()}
 
 
 def coproduct_tensor(x, s_labels):
@@ -161,14 +152,9 @@ def coproduct_tensor(x, s_labels):
     ``x`` is a formal combination of labeled polytopes given as a list of
     (LabeledGP, coeff).
     """
-    terms = {}
-    arrs = None
-    for gp, c in x:
-        r, q = gp_coproduct(gp, s_labels)
-        arrs = (r.poly.arr, q.poly.arr)
-        key = (r.poly, q.poly)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(c)
-    return Tensor2(arrs, terms)
+    pairs = [(gp_coproduct(gp, s_labels), c) for gp, c in x]
+    arrs = tuple(gp.poly.arr for gp in pairs[-1][0]) if pairs else None
+    return Tensor2.linear(arrs, pairs, lambda rq: {(rq[0].poly, rq[1].poly): 1})
 
 
 # ---------------------------------------------------------------------------

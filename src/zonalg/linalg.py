@@ -5,6 +5,11 @@ on.
 Matrices are sequences of rows of ``int`` or ``fractions.Fraction``.
 Elimination clears denominators and works on integer rows; ``Fraction``s
 appear only in the solutions it returns.  No floating point anywhere.
+
+Every product, action and coordinate map of the algebras extends one map
+on basis keys linearly or bilinearly, through ``Combination.linear`` or
+``Combination.bilinear``: the two entries to one kernel that scales the
+coefficients to integers, adds integers per key and divides once.
 """
 
 from __future__ import annotations
@@ -21,27 +26,68 @@ class Combination:
 
     ``terms`` maps each key to its nonzero ``Fraction`` coefficient; ``arr``
     tags what the keys live over, and only combinations with equal tags
-    are added.  The constructor canonicalizes outside input: each key goes
-    through ``_key``, coefficients of equal keys are added up and zeros are
-    dropped.  Results of the operations below are built by ``_make``, which
-    takes terms that are already canonical.  Subclasses add their products.
+    are added.  Every key goes through ``_key`` in one place, the kernel
+    ``_sum``, which the constructor (on outside input) and both extension
+    entries share:
+
+    * ``linear(arr, items, image)`` is sum c * image(k) over the pairs
+      (k, c) of ``items``, where image(k) is a dict from keys to rational
+      coefficients;
+    * ``bilinear(arr, left, right, op)`` is sum a * b * [op(k, l)] over the
+      terms k: a of ``left`` and l: b of ``right``.
+
+    Each product, action and coordinate map of the subclasses is one call to
+    an entry, which looks its operation up at call time.
     """
 
     __slots__ = ("arr", "terms")
 
     def __init__(self, arr, terms=None):
         self.arr = arr
-        out = {}
-        key = self._key
-        for k, c in (terms or {}).items():
-            if c:
-                k = key(k)
-                out[k] = out[k] + c if k in out else Fraction(c)
-        self.terms = {k: c for k, c in out.items() if c}
+        terms = terms or {}
+        den, ints = to_integers([Fraction(c) for c in terms.values()])
+        self.terms = self._sum(den, ((k, v) for k, v in zip(terms, ints) if v))
 
     @staticmethod
     def _key(k):
         return k
+
+    @classmethod
+    def _sum(cls, den, weighted):
+        """The terms of (1/den) * sum v * [k] over the pairs (k, v) of
+        ``weighted``, each v an integer and each k sent through ``_key``."""
+        key = cls._key
+        if key is not Combination._key:
+            weighted = ((key(k), v) for k, v in weighted)
+        out = {}
+        for k, v in weighted:
+            out[k] = out.get(k, 0) + v
+        return {k: Fraction(v, den) for k, v in out.items() if v}
+
+    @classmethod
+    def linear(cls, arr, items, image):
+        """sum c * image(k) over the pairs (k, c) of ``items``; the values of
+        every image are scaled to integers by one common denominator."""
+        items = list(items)
+        den_c, ints_c = to_integers([c for _, c in items])
+        images = [image(k) for k, _ in items]
+        den_w = lcm(*[w.denominator for img in images for w in img.values()])
+        return cls._make(arr, cls._sum(den_c * den_w, (
+            (k, c * w.numerator * (den_w // w.denominator))
+            for img, c in zip(images, ints_c)
+            for k, w in img.items()
+        )))
+
+    @classmethod
+    def bilinear(cls, arr, left, right, op):
+        """sum a * b * [op(k, l)] over the terms k: a of the dict ``left``
+        and l: b of the dict ``right``."""
+        den_a, ints_a = to_integers(list(left.values()))
+        den_b, ints_b = to_integers(list(right.values()))
+        right = list(zip(right, ints_b))
+        return cls._make(arr, cls._sum(den_a * den_b, (
+            (op(k, l), a * b) for k, a in zip(left, ints_a) for l, b in right
+        )))
 
     @classmethod
     def _make(cls, arr, terms):

@@ -23,7 +23,7 @@ import operator
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial
 
 from . import arrangement as arrg
 from . import linalg
@@ -41,13 +41,7 @@ _INTERN = weakref.WeakValueDictionary()
 
 @lru_cache(maxsize=None)
 def _chamber_vectors(arr):
-    return tuple(_face_vector(ch) for ch in arrg.chambers(arr))
-
-
-@lru_cache(maxsize=None)
-def _face_vector(face):
-    """The integer interior point of an arrangement face."""
-    return tuple(int(c) for c in arrg.interior_point(face))
+    return tuple(arrg._interior(ch) for ch in arrg.chambers(arr))
 
 
 class VPolytope:
@@ -64,7 +58,7 @@ class VPolytope:
         "_lattice", "_children", "_volumes", "_weights", "_normal", "__weakref__",
     )
 
-    def __new__(cls, arr, points, assume_vertices=False, check=False):
+    def __new__(cls, arr, points, assume_vertices=False):
         pts = _dedup(points)
         if not pts:
             raise ValueError("a polytope needs at least one point")
@@ -90,8 +84,6 @@ class VPolytope:
             self._weights = {}
             self._normal = None
             _INTERN[key] = self
-        if check:
-            check_deformation(self)
         return self
 
     def __repr__(self):
@@ -129,7 +121,7 @@ class VPolytope:
         arrangement face."""
         fs = self._face_sets.get(face)
         if fs is None:
-            fs = self.argmax_set(_face_vector(face))
+            fs = self.argmax_set(arrg._interior(face))
             self._face_sets[face] = fs
         return fs
 
@@ -311,7 +303,7 @@ def check_deformation(p):
     """Debug check: the argmax vertex set at every arrangement face must not
     depend on the choice of interior point."""
     for face in arrg.faces(p.arr):
-        w0 = _face_vector(face)
+        w0 = arrg._interior(face)
         _, w1 = to_integers(arrg.interior_point(face, variant=1))
         if p.argmax_set(w0) != p.argmax_set(w1):
             raise NotDeformationError(
@@ -373,12 +365,7 @@ class PiElement(Combination):
     def __mul__(self, other):
         """Product of classes: Minkowski sum on representatives."""
         self._check(other)
-        out = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                r = p.minkowski(q)
-                out[r] = out.get(r, Fraction(0)) + a * b
-        return PiElement(self.arr, out)
+        return PiElement.bilinear(self.arr, self.terms, other.terms, VPolytope.minkowski)
 
     def power(self, n):
         acc = PiElement.one(self.arr)
@@ -395,47 +382,19 @@ class PiElement(Combination):
 
     def act_face(self, face):
         """Module action of a single arrangement face: classwise maximization."""
-        out = {}
-        for p, c in self.terms.items():
-            q = p.face_max(face)
-            out[q] = out.get(q, Fraction(0)) + c
-        return PiElement(self.arr, out)
+        return PiElement.linear(self.arr, self.terms.items(), lambda p: {p.face_max(face): 1})
 
     def act(self, element):
-        """Module action of a face sum (bilinear extension).  Both coefficient
-        lists are scaled to integers, so each class adds integers and divides
-        once."""
+        """Module action of a face sum (bilinear extension)."""
         if element.arr != self.arr:
             raise ValueError("acting element over a different arrangement")
-        den_e, ints_e = to_integers(list(element.terms.values()))
-        den_p, ints_p = to_integers(list(self.terms.values()))
-        mine = list(zip(self.terms, ints_p))
-        out = {}
-        for face, a in zip(element.terms, ints_e):
-            for p, b in mine:
-                q = p.face_max(face)
-                out[q] = out.get(q, 0) + a * b
-        # merge translates as the constructor would, still in integers
-        terms = {}
-        for q, v in out.items():
-            if v:
-                k = q.normalized()
-                terms[k] = terms.get(k, 0) + v
-        den = den_e * den_p
-        return PiElement._make(self.arr, {k: Fraction(v, den) for k, v in terms.items() if v})
+        return PiElement.bilinear(self.arr, element.terms, self.terms, lambda f, p: p.face_max(f))
 
     def phi(self, face_dims=None):
-        """Cone-weight coordinates of the class.  Coefficients and weights are
-        scaled to integers, so each face adds integers and divides once."""
-        den_c, ints_c = to_integers(list(self.terms.values()))
-        weights = [polytope_cone_weights(p, face_dims).terms for p in self.terms]
-        den_w = lcm(*[w.denominator for ws in weights for w in ws.values()])
-        out = {}
-        for ws, c in zip(weights, ints_c):
-            for face, w in ws.items():
-                out[face] = out.get(face, 0) + w.numerator * (den_w // w.denominator) * c
-        den = den_c * den_w
-        return ConeWeights._make(self.arr, {f: Fraction(v, den) for f, v in out.items() if v})
+        """Cone-weight coordinates of the class."""
+        return ConeWeights.linear(
+            self.arr, self.terms.items(), lambda p: polytope_cone_weights(p, face_dims).terms
+        )
 
 
 def _point(arr):
@@ -471,17 +430,13 @@ def log_class(p):
         outer = Fraction((-1) ** (r - 1), r)
         for j in range(r + 1):
             sign = (-1) ** (r - j)
-            coeffs[j] += outer * _choose(r, j) * sign
+            coeffs[j] += outer * comb(r, j) * sign
     out = PiElement.zero(arr)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
         out = out + PiElement.of(p.dilate(j), c)
     return out
-
-
-def _choose(n, k):
-    return Fraction(factorial(n), factorial(k) * factorial(n - k))
 
 
 def exp_class(x):
@@ -617,13 +572,13 @@ def _slice_form(arr, form):
     return tuple(vec)
 
 
-def slice_polytope(p, form, c, check=True):
+def slice_polytope(p, form, c):
     """Cut a deformation along a hyperplane; returns (lower, upper, section).
 
     The value c must lie strictly between the minimum and maximum of the form
-    over the polytope.  Each piece is constructed with the deformation check
-    on by default: cuts that break the deformation property (which can happen
-    for difference forms in dimension >= 3) are rejected.
+    over the polytope.  Each piece passes ``check_deformation``: cuts that
+    break the deformation property (which can happen for difference forms in
+    dimension >= 3) are rejected.
     """
     arr = p.arr
     vec = _slice_form(arr, form)
@@ -648,15 +603,15 @@ def slice_polytope(p, form, c, check=True):
             lower.append(cut)
             upper.append(cut)
             section.append(cut)
-    p_le = VPolytope(arr, lower, check=check)
-    p_ge = VPolytope(arr, upper, check=check)
-    p_eq = VPolytope(arr, section, check=check)
-    return p_le, p_ge, p_eq
+    pieces = VPolytope(arr, lower), VPolytope(arr, upper), VPolytope(arr, section)
+    for piece in pieces:
+        check_deformation(piece)
+    return pieces
 
 
-def valuation_relation(p, form, c, check=True):
+def valuation_relation(p, form, c):
     """[lower] + [upper] - [whole] - [section] as a formal class combination."""
-    p_le, p_ge, p_eq = slice_polytope(p, form, c, check=check)
+    p_le, p_ge, p_eq = slice_polytope(p, form, c)
     return (
         PiElement.of(p_le) + PiElement.of(p_ge) - PiElement.of(p) - PiElement.of(p_eq)
     )

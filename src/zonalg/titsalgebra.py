@@ -5,11 +5,13 @@ explicit complete families of orthogonal idempotents indexed by flats.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 
 from . import arrangement as arrg
-from .linalg import Combination, to_integers
+from .linalg import Combination
 
 
 class TitsElement(Combination):
@@ -26,28 +28,13 @@ class TitsElement(Combination):
         return cls.basis(arrg.central_face(arr))
 
     def __mul__(self, other):
-        """Bilinear extension of the Tits product.  Both operands are scaled
-        to integers first, so the sum per product face adds integers and
-        divides once."""
+        """Bilinear extension of the Tits product."""
         self._check(other)
-        den_a, ints_a = to_integers(list(self.terms.values()))
-        den_b, ints_b = to_integers(list(other.terms.values()))
-        right = list(zip(other.terms, ints_b))
-        out = {}
-        for f, a in zip(self.terms, ints_a):
-            for g, b in right:
-                fg = arrg.tits_product(f, g)
-                out[fg] = out.get(fg, 0) + a * b
-        den = den_a * den_b
-        return TitsElement._make(self.arr, {fg: Fraction(v, den) for fg, v in out.items() if v})
+        return TitsElement.bilinear(self.arr, self.terms, other.terms, arrg.tits_product)
 
     def support_image(self):
         """Apply the support map coefficientwise; lands in the flats algebra."""
-        out = {}
-        for f, c in self.terms.items():
-            x = arrg.support(f)
-            out[x] = out.get(x, Fraction(0)) + c
-        return FlatsElement(self.arr, out)
+        return FlatsElement.linear(self.arr, self.terms.items(), lambda f: {arrg.support(f): 1})
 
     def to_json(self):
         return arrg.face_terms_json(self.terms)
@@ -65,12 +52,7 @@ class FlatsElement(Combination):
     def __mul__(self, other):
         """H_X H_Y = H_{X v Y} extended bilinearly."""
         self._check(other)
-        out = {}
-        for x, a in self.terms.items():
-            for y, b in other.terms.items():
-                j = arrg.flat_join(x, y)
-                out[j] = out.get(j, Fraction(0)) + a * b
-        return FlatsElement(self.arr, out)
+        return FlatsElement.bilinear(self.arr, self.terms, other.terms, arrg.flat_join)
 
 
 def q_basis_element(flat):
@@ -130,10 +112,9 @@ class EulerianFamily:
         return list(self.elements)
 
     def completeness_defect(self):
-        total = TitsElement.zero(self.arr)
-        for e in self.elements.values():
-            total = total + e
-        return total - TitsElement.unit(self.arr)
+        unit = TitsElement.unit(self.arr)
+        pairs = [(e, 1) for e in self.elements.values()] + [(unit, -1)]
+        return TitsElement.linear(self.arr, pairs, attrgetter("terms"))
 
     def check(self):
         """Idempotency, orthogonality, completeness, supports and the support
@@ -233,8 +214,6 @@ def gamma_family(d):
     E_{X_S} = sum_{T subset S} (-1)^{|S minus T|} H_{F_T}, where F_T is the
     intersection of the first orthant with the flat X_T.
     """
-    import itertools
-
     arr = arrg.coordinate(d)
     family = {}
     for x in arrg.flats(arr):
@@ -252,7 +231,5 @@ def gamma_family(d):
 def family_reconstructs(element, family, t):
     """True iff element = sum_X t^{dim X} E_X exactly."""
     t = Fraction(t)
-    acc = TitsElement.zero(element.arr)
-    for x, e in family.elements.items():
-        acc = acc + e.scale(t ** x.dim)
-    return (acc - element).is_zero()
+    pairs = [(e, t ** x.dim) for x, e in family.elements.items()] + [(element, -1)]
+    return TitsElement.linear(element.arr, pairs, attrgetter("terms")).is_zero()

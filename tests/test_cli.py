@@ -51,6 +51,43 @@ def test_eta_csv(capsys):
     assert lines[1:] == [f'"{flat_str(x)}","{r}","{v}"' for (x, r), v in entries.items()]
 
 
+def test_stats_list_csv(capsys):
+    code, out, _ = run_cli(capsys, "stats", "--group", "S", "--d", "2", "--list", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["cycles,exc,des,supp", '"(1)(2)","0","0","{1,2}"', '"(1 2)","1","1","{12}"']
+
+
+def _format_argv(command, tmp_path):
+    """The smallest run of each subcommand."""
+    if command == "decompose":
+        from zonalg import polyclass
+
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(polyclass.polytope_to_json(polyclass.permutahedron(2))))
+        return ["decompose", "--type", "A", "--input", str(path)]
+    return {
+        "eta": ["eta", "--type", "A", "--d", "2"],
+        "verify": ["verify", "thm-b", "--d", "2"],
+        "stats": ["stats", "--group", "S", "--d", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["eta", "verify", "decompose", "stats"])
+def test_format_text_is_not_an_option(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main(_format_argv(command, tmp_path) + ["--format", "text"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "stats"])
+def test_format_csv_without_rows_exits_2(tmp_path, capsys, command):
+    # only eta and stats --list print rows; elsewhere csv would print JSON
+    code, out, err = run_cli(capsys, *_format_argv(command, tmp_path), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--format csv" in err
+
+
 def test_eta_bound_is_input_error(capsys):
     code, _, err = run_cli(capsys, "eta", "--type", "A", "--d", "9")
     assert code == 2
@@ -377,3 +414,25 @@ def test_polytope_json_unknown_arrangement_exits_2(tmp_path, capsys, name):
     code, _, err = _decompose_json(tmp_path, capsys, data)
     assert code == 2
     assert f"unknown arrangement type {name!r}" in err
+
+
+# sha256 of the stdout of ``zonalg verify all --quick --seed 1`` from a
+# known-good run: any change to a report shows here, and a deliberate one
+# records the new digest
+VERIFY_ALL_QUICK_SHA256 = "1bbc3cc78c9b414ada1505e362893b6068845d4fa2165d0a83d542802987aabb"
+
+
+def test_verify_all_quick_output_is_pinned():
+    import hashlib
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ZONALG_")}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonalg", "verify", "all", "--quick", "--seed", "1"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_QUICK_SHA256

@@ -69,13 +69,6 @@ def test_exp_additivity_on_sparse_inputs():
         assert f.exp().log().coeffs == f.coeffs
 
 
-def test_compose_requires_zero_constant():
-    f = TruncSeries.one(4)
-    g = TruncSeries.one(4)
-    with pytest.raises(ValueError):
-        f.compose(g)
-
-
 def test_log_requires_unit_constant():
     with pytest.raises(ValueError):
         TruncSeries.from_coeffs([2, 1], 4).log()

@@ -68,6 +68,20 @@ def test_permutahedron_face_vectors():
     assert _pt(braid(2)).h_polynomial() == RatPoly.of(1)
 
 
+def test_face_set_does_not_pin_the_face():
+    import gc
+    import weakref
+
+    arr = braid(11)  # faces(braid(11)) is never enumerated, so no cache holds its faces
+    face = arrg.face_of_point(arr, tuple(range(11, 0, -1)))
+    p = simplex(arr, {1, 2})
+    assert p.face_set(face) == frozenset({1})  # vertex 1 is e_1, after e_2 in sorted order
+    ref = weakref.ref(face)
+    del face, p
+    gc.collect()
+    assert ref() is None
+
+
 def test_simplex_validation():
     with pytest.raises(ValueError):
         simplex(type_b(3), {1, -1})

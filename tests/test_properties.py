@@ -1,7 +1,8 @@
 """Property-based tests: face and flat strings round-trip at every d up to
 12, the covector Tits product, face order and support agree with their
-geometric oracles, and the sparse combinations obey the laws of a rational
-vector space."""
+geometric oracles, the sparse combinations obey the laws of a rational
+vector space, and the products, the support map and the module action that
+the extension kernel builds obey the laws of the algebras."""
 
 from fractions import Fraction
 
@@ -180,3 +181,93 @@ def test_translates_share_one_class_key(arr, data):
     assert list(x.terms) == ([p.normalized()] if a + b else [])
     assert x.coeff(p) == x.coeff(p.translate(t)) == a + b
     assert PiElement.of(p) - PiElement.of(p.translate(t)) == PiElement.zero(arr)
+
+
+# ---------------------------------------------------------------------------
+# the extension kernel at d <= 4: face sums and flat sums with rational
+# coefficients, the faces and flats drawn as the faces of integer points
+
+def _arrangement(data, kind):
+    return Arrangement(kind, data.draw(st.integers(1, 4)))
+
+
+def _sums(arr, key, cls, size=4):
+    terms = st.lists(st.tuples(_points(arr.d), _COEFFS), max_size=size)
+    return terms.map(lambda ts: cls(arr, {key(arrg.face_of_point(arr, p)): c for p, c in ts}))
+
+
+def _face_sums(arr, size=4):
+    return _sums(arr, lambda f: f, TitsElement, size)
+
+
+def _flat_sums(arr):
+    return _sums(arr, arrg.support, FlatsElement)
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_FEW
+@given(data=st.data())
+def test_tits_products_are_associative(kind, data):
+    arr = _arrangement(data, kind)
+    x, y, z = (data.draw(_face_sums(arr)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert _canonical(x * y)
+
+
+def _join_oracle(x, y):
+    """The product of two flat sums, summed in Fractions term by term."""
+    out = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            j = arrg.flat_join(a, b)
+            out[j] = out.get(j, Fraction(0)) + ca * cb
+    return {j: c for j, c in out.items() if c}
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_FEW
+@given(data=st.data())
+def test_flats_products_equal_the_fraction_oracle(kind, data):
+    arr = _arrangement(data, kind)
+    x, y = data.draw(_flat_sums(arr)), data.draw(_flat_sums(arr))
+    xy = x * y
+    assert xy.terms == _join_oracle(x, y)
+    assert _canonical(xy)
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_FEW
+@given(data=st.data())
+def test_support_map_is_multiplicative(kind, data):
+    arr = _arrangement(data, kind)
+    x, y = data.draw(_face_sums(arr)), data.draw(_face_sums(arr))
+    assert (x * y).support_image() == x.support_image() * y.support_image()
+
+
+def _small_polytopes(arr):
+    """Small deformations over the arrangement: simplices (with the origin,
+    for B) on up to two indices, and coordinate boxes for C."""
+    d = arr.d
+    if arr.kind == arrg.KIND_C:
+        axes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        return [segment(arr, v) for v in axes] + [cube(d)]
+    pairs = [(i,) for i in range(1, d + 1)] + [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    if arr.kind == arrg.KIND_A:
+        return [simplex(arr, s) for s in pairs]
+    return [simplex0(arr, s) for s in pairs] + [simplex0(arr, (s[0], -s[-1])) for s in pairs if len(s) == 2]
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_FEW
+@given(data=st.data())
+def test_face_sums_act_on_classes(kind, data):
+    """x.act(e).act(e') = x.act(e e'), in the convention of
+    ``test_module_axioms_on_classes``: act by e first, then by e'."""
+    arr = _arrangement(data, kind)
+    pool = _small_polytopes(arr)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), _COEFFS), min_size=1, max_size=2))
+    x = PiElement(arr, dict(terms))
+    e, e2 = data.draw(_face_sums(arr, 3)), data.draw(_face_sums(arr, 3))
+    xe = x.act(e)
+    assert xe.act(e2) == x.act(e * e2)
+    assert all(p.normalized() is p for p in xe.terms)  # translates share one key
