@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import arrangement as arrg
-from . import gfseries, hopfgp, linalg, permstat, polyclass, spectra, titsalgebra
+from . import gfseries, hopfgp, permstat, polyclass, spectra, titsalgebra
 
 # the largest d of each eta table on the command line
 ETA_BOUNDS = {arrg.KIND_A: 5, arrg.KIND_B: 4, arrg.KIND_C: 5}
@@ -186,8 +186,8 @@ def verify_b_gens(dmax=4, trials=10, seed=0):
             "count_matches": len(non_pts) == 3 ** d - d - 1,
             "full_dimensional": len(fam.full_dimensional()) == 2 ** (d - 1),
         }
-        _, gens, polys, _, rows = spectra._b_system(d)
-        entry["full_column_rank"] = linalg.rank(rows) == len(gens)
+        _, gens, polys, _, matrix = spectra._b_system(d)
+        entry["full_column_rank"] = matrix.rank == len(gens)
         pb = polyclass.typeB_permutahedron(d)
         co = spectra.b_decompose(pb)
         entry["permutahedron_reconstructs"] = spectra.reconstruction_holds(pb, co, polys)

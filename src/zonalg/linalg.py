@@ -4,7 +4,9 @@ on.
 
 Matrices are sequences of rows of ``int`` or ``fractions.Fraction``.
 Elimination clears denominators and works on integer rows; ``Fraction``s
-appear only in the solutions it returns.  No floating point anywhere.
+appear only in the solutions it returns.  A matrix solved against many
+right-hand sides is eliminated once, as a ``Factorization``.  No floating
+point anywhere.
 
 Every product, action and coordinate map of the algebras extends one map
 on basis keys linearly or bilinearly, through ``Combination.linear`` or
@@ -156,11 +158,13 @@ def _primitive(row):
 
 def _rref(rows, width):
     """Row-reduce ``rows`` over the integers; return (reduced rows, pivot
-    columns).  Each row is cleared of denominators, and each update
-    ``b*row - a*pivot_row`` is divided by the gcd of the row, so the rows
-    stay primitive and the pivots and zero pattern are those of Gauss-Jordan
-    elimination over the rationals."""
+    columns, the index in ``rows`` of each pivot row).  Each row is cleared
+    of denominators, and each update ``b*row - a*pivot_row`` is divided by
+    the gcd of the row, so the rows stay primitive and the pivots and zero
+    pattern are those of Gauss-Jordan elimination over the rationals.  The
+    pivot rows are independent and span the rows of ``rows``."""
     mat = [_primitive(to_integers(row)[1]) for row in rows]
+    origin = list(range(len(mat)))
     pivots = []
     r = 0
     for c in range(width):
@@ -168,6 +172,7 @@ def _rref(rows, width):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
+        origin[r], origin[pivot] = origin[pivot], origin[r]
         prow = mat[r]
         b = prow[c]
         for i, row in enumerate(mat):
@@ -178,7 +183,7 @@ def _rref(rows, width):
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return mat[:r], pivots, origin[:r]
 
 
 def rank(rows, width=None):
@@ -190,19 +195,70 @@ def rank(rows, width=None):
     return len(_rref(rows, width)[0])
 
 
+class Factorization:
+    """A matrix M factored once, to solve M x = b for many right-hand sides.
+
+    One elimination picks a maximal set S of independent rows and their
+    pivot columns P, so M[S, P] is invertible; its inverse is kept as one
+    common denominator and sparse integer rows, and every row of M as its
+    denominator and sparse integer row.  ``solve`` sets x_P = M[S, P]^-1 b_S
+    and the free columns to 0, then checks every row of M x = b in
+    integers: the rows in S span the row space, so x satisfies every row
+    exactly when b lies in the column space.
+    """
+
+    __slots__ = ("rows", "width", "rank", "_pivots", "_den", "_inverse", "_checks")
+
+    def __init__(self, rows):
+        rows = tuple(rows)
+        if not rows:
+            raise ValueError("empty system")
+        self.rows = rows
+        self.width = len(rows[0])
+        _, self._pivots, basis = _rref(rows, self.width)
+        r = self.rank = len(basis)
+        # [M[S, P] | I] reduces to rows [b_k e_k | w_k], and w_k / b_k is
+        # row k of M[S, P]^-1 (each row was scaled before the elimination,
+        # the identity part with it, so the scale cancels).  Its entries are
+        # kept against the rows of M they multiply.
+        block = [
+            [rows[i][c] for c in self._pivots] + [int(j == k) for j in range(r)]
+            for k, i in enumerate(basis)
+        ]
+        reduced = _rref(block, r)[0]
+        self._den = den = lcm(*[row[k] for k, row in enumerate(reduced)])
+        self._inverse = [
+            [(i, x * (den // row[k])) for i, x in zip(basis, row[r:]) if x]
+            for k, row in enumerate(reduced)
+        ]
+        self._checks = [
+            (den_i, [(c, v) for c, v in enumerate(ints) if v])
+            for den_i, ints in map(to_integers, rows)
+        ]
+
+    def solve(self, rhs):
+        """The unique x with M x = rhs; raise ValueError unless it exists and
+        is unique."""
+        if len(rhs) != len(self.rows):
+            raise ValueError("right-hand side of the wrong length")
+        den_b, b = to_integers(rhs)
+        # x = y / (den * den_b)
+        y = [0] * self.width
+        for c, inv_row in zip(self._pivots, self._inverse):
+            y[c] = sum(v * b[i] for i, v in inv_row)
+        den = self._den
+        for (den_i, row), b_i in zip(self._checks, b):
+            if sum(v * y[c] for c, v in row) != den_i * den * b_i:
+                raise ValueError("inconsistent linear system")
+        if self.rank < self.width:
+            raise ValueError("underdetermined linear system")
+        den *= den_b
+        return tuple(Fraction(v, den) for v in y)
+
+
 def solve_unique(rows, rhs):
     """Solve M x = rhs; raise ValueError unless the solution exists and is unique."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("empty system")
-    width = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = _rref(aug, width + 1)
-    if width in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < width:
-        raise ValueError("underdetermined linear system")
-    return tuple(Fraction(row[width], row[c]) for row, c in zip(reduced, pivots))
+    return Factorization(rows).solve(rhs)
 
 
 class IncrementalRank:

@@ -260,14 +260,12 @@ class VPolytope:
 
 
 def _dedup(points):
-    seen = set()
-    out = []
-    for p in points:
-        t = tuple(Fraction(c) for c in p)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    """The distinct points, in order, each a tuple of ``Fraction``s; a point
+    that already is one is kept as it is."""
+    return list(dict.fromkeys(
+        p if type(p) is tuple and all(type(c) is Fraction for c in p) else tuple(map(Fraction, p))
+        for p in points
+    ))
 
 
 def _int_coords(verts):

@@ -451,11 +451,12 @@ def b_generators(d):
 
 
 def _edge_weight_rows(arr, gens, gen_polys):
-    """(faces of dimension d-1, the matrix with one row per such face and one
-    column per generator: the generators' edge lengths at the face)."""
+    """(faces of dimension d-1, the factored matrix with one row per such
+    face and one column per generator: the generators' edge lengths at the
+    face)."""
     face_order = [f for f in arrg.faces(arr) if f.dim == arr.d - 1]
     cols = [polyclass.psi1(gen_polys[g]).to_vector(face_order) for g in gens]
-    return face_order, tuple(zip(*cols))
+    return face_order, linalg.Factorization(zip(*cols))
 
 
 @lru_cache(maxsize=None)
@@ -481,12 +482,13 @@ def _a_system(d):
 
 def _edge_length_solve(p, kind, dmax, system, needs):
     """The unique coordinates of p in the generators of ``system`` (whose
-    last four entries are gens, polys, faces, rows), from its edge lengths."""
+    last four entries are gens, polys, faces and the factored matrix), from
+    its edge lengths."""
     if p.arr.d > dmax or p.arr.kind != kind:
         raise ValueError(f"{needs} with d <= {dmax}")
-    gens, _, face_order, rows = system(p.arr.d)[-4:]
+    gens, _, face_order, matrix = system(p.arr.d)[-4:]
     rhs = polyclass.psi1(p).to_vector(face_order)
-    return dict(zip(gens, linalg.solve_unique(rows, rhs)))
+    return dict(zip(gens, matrix.solve(rhs)))
 
 
 def b_decompose(p):

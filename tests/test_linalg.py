@@ -130,6 +130,49 @@ def test_solve_unique_errors():
     assert linalg.solve_unique([[2, 0], [0, Fraction(1, 3)]], [1, 1]) == (Fraction(1, 2), 3)
 
 
+@given(_matrices(), st.data())
+@_SETTINGS
+def test_factorization_matches_fraction_oracle(rows, data):
+    """One factorization answers several right-hand sides, consistent or
+    not, as a fresh Fraction elimination of each augmented system does."""
+    width = len(rows[0])
+    fact = linalg.Factorization(rows)
+    assert fact.rank == _rank_oracle(rows, width)
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(_entries, min_size=width, max_size=width))
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+        want = _solve_oracle(rows, rhs)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                fact.solve(rhs)
+        else:
+            got = fact.solve(rhs)
+            assert got == want
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_factorization_errors():
+    with pytest.raises(ValueError, match="empty system"):
+        linalg.Factorization([])
+    fact = linalg.Factorization([[1, 2], [2, 4], [0, 0]])
+    assert fact.rank == 1
+    # inconsistency is reported before rank deficiency
+    with pytest.raises(ValueError, match="inconsistent"):
+        fact.solve([1, 2, 1])
+    with pytest.raises(ValueError, match="underdetermined"):
+        fact.solve([1, 2, 0])
+    with pytest.raises(ValueError, match="wrong length"):
+        fact.solve([1, 2])
+    fact = linalg.Factorization([[2, 0], [0, Fraction(1, 3)], [1, 1]])
+    assert fact.solve([1, 1, Fraction(7, 2)]) == (Fraction(1, 2), 3)
+    assert fact.solve([0, 0, 0]) == (0, 0)
+    with pytest.raises(ValueError, match="inconsistent"):
+        fact.solve([1, 1, 3])
+
+
 @given(_matrices(max_rows=8))
 @_SETTINGS
 def test_incremental_rank_matches_fraction_oracle(rows):

@@ -91,6 +91,16 @@ def test_simplex_validation():
     assert s.verts == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 
 
+@pytest.mark.parametrize("assume_vertices", [False, True])
+def test_vertex_coordinates_are_fractions(assume_vertices):
+    arr = braid(2)
+    points = [[0, 1], ("1", 0), (Fraction(1), 0), [1, "0"], (Fraction(0), Fraction(1))]
+    p = VPolytope(arr, points, assume_vertices=assume_vertices)
+    assert p.verts == ((0, 1), (1, 0))
+    assert all(type(v) is tuple for v in p.verts)
+    assert all(type(c) is Fraction for v in p.verts for c in v)
+
+
 def test_face_max_simplex_rule():
     arr = braid(4)
     dj = simplex(arr, {1, 2, 4})

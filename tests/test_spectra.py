@@ -224,16 +224,16 @@ def test_psi1_system_full_rank():
     from zonalg import linalg
 
     for d in (2, 3):
-        _, gens, polys, _, rows = _b_system(d)
-        assert linalg.rank(rows) == len(gens)
+        _, gens, polys, _, matrix = _b_system(d)
+        assert linalg.rank(matrix.rows) == len(gens)
 
 
 def test_a_system_full_rank_up_to_d5():
     from zonalg import linalg
 
     for d in (3, 4, 5):
-        gens, polys, _, rows = _a_system(d)
-        assert linalg.rank(rows) == len(gens) == 2 ** d - d - 1
+        gens, polys, _, matrix = _a_system(d)
+        assert linalg.rank(matrix.rows) == len(gens) == 2 ** d - d - 1
 
 
 def test_a_decompose_values():
@@ -265,6 +265,47 @@ def test_a_decompose_round_trip_random():
             acc = acc.minkowski(polys[s].dilate(c))
         coeffs = a_decompose(acc)
         assert all(coeffs.get(s, 0) == used.get(s, 0) for s in gens)
+
+
+def _random_deformation(kind, d, rng):
+    """A random nonnegative integral combination of the generators of the
+    type-``kind`` decomposition system, with its coefficients."""
+    if kind == "B":
+        return random_b_deformation(d, rng)
+    gens, polys, _, _ = _a_system(d)
+    acc = polyclass.VPolytope(braid(d), [(Fraction(0),) * d], assume_vertices=True)
+    used = {}
+    for s in rng.sample(gens, 3):
+        used[s] = Fraction(rng.choice((1, 2)))
+        acc = acc.minkowski(polys[s].dilate(used[s]))
+    return acc, used
+
+
+@pytest.mark.parametrize("kind,d", [("A", 4), ("A", 5), ("B", 3), ("B", 4)])
+def test_decompose_after_warm_up_eliminates_nothing(kind, d, monkeypatch):
+    """Once a system is factored, a decomposition back-substitutes and
+    checks every row, and runs no elimination."""
+    from zonalg import linalg
+
+    decompose, system = (a_decompose, _a_system) if kind == "A" else (b_decompose, _b_system)
+    rng = random.Random(40 + d)
+    cases = [_random_deformation(kind, d, rng) for _ in range(4)]
+    decompose(cases.pop()[0])  # warm-up: builds and factors the system
+    gens, _, face_order, matrix = system(d)[-4:]
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or rref(*args))
+    got = [decompose(p) for p, _ in cases]
+    monkeypatch.undo()
+    assert calls == []
+    for (p, used), coeffs in zip(cases, got):
+        rhs = polyclass.psi1(p).to_vector(face_order)
+        assert coeffs == dict(zip(gens, linalg.solve_unique(matrix.rows, rhs)))
+        assert all(coeffs[g] == used.get(g, 0) for g in gens)
+    # one wall's edge length off: no generator combination has these lengths
+    rhs[len(rhs) // 2] += 1
+    with pytest.raises(ValueError, match="inconsistent linear system"):
+        matrix.solve(rhs)
 
 
 def test_bound_guards():
