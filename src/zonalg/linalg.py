@@ -195,8 +195,9 @@ def rank(rows, width=None):
     return len(_rref(rows, width)[0])
 
 
-class Factorization:
-    """A matrix M factored once, to solve M x = b for many right-hand sides.
+class Factorization(tuple):
+    """The rows of a matrix M, factored once to solve M x = b for many
+    right-hand sides.
 
     One elimination picks a maximal set S of independent rows and their
     pivot columns P, so M[S, P] is invertible; its inverse is kept as one
@@ -204,25 +205,23 @@ class Factorization:
     denominator and sparse integer row.  ``solve`` sets x_P = M[S, P]^-1 b_S
     and the free columns to 0, then checks every row of M x = b in
     integers: the rows in S span the row space, so x satisfies every row
-    exactly when b lies in the column space.
+    exactly when b lies in the column space.  As a tuple it is the rows of
+    M, so it can stand wherever the matrix does.
     """
 
-    __slots__ = ("rows", "width", "rank", "_pivots", "_den", "_inverse", "_checks")
-
-    def __init__(self, rows):
-        rows = tuple(rows)
-        if not rows:
+    def __new__(cls, rows):
+        self = super().__new__(cls, map(tuple, rows))
+        if not self:
             raise ValueError("empty system")
-        self.rows = rows
-        self.width = len(rows[0])
-        _, self._pivots, basis = _rref(rows, self.width)
+        self.width = len(self[0])
+        _, self._pivots, basis = _rref(self, self.width)
         r = self.rank = len(basis)
         # [M[S, P] | I] reduces to rows [b_k e_k | w_k], and w_k / b_k is
         # row k of M[S, P]^-1 (each row was scaled before the elimination,
         # the identity part with it, so the scale cancels).  Its entries are
         # kept against the rows of M they multiply.
         block = [
-            [rows[i][c] for c in self._pivots] + [int(j == k) for j in range(r)]
+            [self[i][c] for c in self._pivots] + [int(j == k) for j in range(r)]
             for k, i in enumerate(basis)
         ]
         reduced = _rref(block, r)[0]
@@ -233,13 +232,14 @@ class Factorization:
         ]
         self._checks = [
             (den_i, [(c, v) for c, v in enumerate(ints) if v])
-            for den_i, ints in map(to_integers, rows)
+            for den_i, ints in map(to_integers, self)
         ]
+        return self
 
     def solve(self, rhs):
         """The unique x with M x = rhs; raise ValueError unless it exists and
         is unique."""
-        if len(rhs) != len(self.rows):
+        if len(rhs) != len(self):
             raise ValueError("right-hand side of the wrong length")
         den_b, b = to_integers(rhs)
         # x = y / (den * den_b)
@@ -257,8 +257,11 @@ class Factorization:
 
 
 def solve_unique(rows, rhs):
-    """Solve M x = rhs; raise ValueError unless the solution exists and is unique."""
-    return Factorization(rows).solve(rhs)
+    """Solve M x = rhs; raise ValueError unless the solution exists and is
+    unique.  A ``Factorization`` passed as ``rows`` is not eliminated again."""
+    if not isinstance(rows, Factorization):
+        rows = Factorization(rows)
+    return rows.solve(rhs)
 
 
 class IncrementalRank:

@@ -488,7 +488,7 @@ def _edge_length_solve(p, kind, dmax, system, needs):
         raise ValueError(f"{needs} with d <= {dmax}")
     gens, _, face_order, matrix = system(p.arr.d)[-4:]
     rhs = polyclass.psi1(p).to_vector(face_order)
-    return dict(zip(gens, matrix.solve(rhs)))
+    return dict(zip(gens, linalg.solve_unique(matrix, rhs)))
 
 
 def b_decompose(p):

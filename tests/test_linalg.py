@@ -171,6 +171,9 @@ def test_factorization_errors():
     assert fact.solve([0, 0, 0]) == (0, 0)
     with pytest.raises(ValueError, match="inconsistent"):
         fact.solve([1, 1, 3])
+    # the factorization is the tuple of the rows, and solve_unique uses it
+    assert fact == ((2, 0), (0, Fraction(1, 3)), (1, 1))
+    assert linalg.solve_unique(fact, [1, 1, Fraction(7, 2)]) == (Fraction(1, 2), 3)
 
 
 @given(_matrices(max_rows=8))
