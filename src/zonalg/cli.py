@@ -38,41 +38,28 @@ def verify_brenti(type_name="A", dmax=None):
     ):
         if type_name.upper() in (t, "ALL"):
             for d in range(2, (default if dmax is None else dmax) + 1):
-                ok = zonotope(d).h_polynomial() == eulerian(d)
-                results.append({"case": f"{t} d={d}", "ok": ok})
+                h, want = zonotope(d).h_polynomial(), eulerian(d)
+                entry = {"case": f"{t} d={d}", "ok": h == want}
+                if h != want:
+                    entry["first_mismatch"] = {"h_polynomial": str(h), "eulerian": str(want)}
+                results.append(entry)
     return _report("brenti", results)
 
 
-def _mobius_vs_permutations(arr):
-    """The Möbius eta table of arr, and a report entry comparing it with the
-    permutation counts that names the first mismatch when they differ."""
-    em = spectra.eta_mobius(arr)
-    ep = spectra.eta_permutations(arr)
-    entry = {"d": arr.d, "mobius_vs_permutations": em.same_values(ep)}
-    if not entry["mobius_vs_permutations"]:
-        x, r = em.first_difference(ep)
-        entry["first_mismatch"] = {
-            "flat": arrg.flat_str(x),
-            "r": r,
-            "mobius": em.value(x, r),
-            "permutations": ep.value(x, r),
-        }
-    return em, entry
-
-
-def _rank_route(entry, key, ranked, em):
-    """Record under ``key`` whether the idempotent-rank table agrees with the
-    Möbius table and, when it does not, name the first (flat, r) that differs
-    under ``rank_mismatch``; returns the verdict."""
-    first = ranked.first_difference(em)
+def _eta_agrees(entry, key, witness, **tables):
+    """Record under ``key`` whether the two eta tables given by keyword
+    agree and, when they do not, name the first (flat, r) that differs under
+    ``witness``, with each table's value under its keyword; returns the
+    verdict."""
+    table, other = tables.values()
+    first = table.first_difference(other)
     entry[key] = first is None
     if first is not None:
         x, r = first
-        entry["rank_mismatch"] = {
+        entry[witness] = {
             "flat": arrg.flat_str(x),
             "r": r,
-            "rank": ranked.value(x, r),
-            "mobius": em.value(x, r),
+            **{name: t.value(x, r) for name, t in tables.items()},
         }
     return entry[key]
 
@@ -81,10 +68,13 @@ def verify_thm_a(dmax=5, rank_dmax=spectra.RANK_BOUND):
     results = []
     for d in range(2, dmax + 1):
         arr = arrg.braid(d)
-        em, entry = _mobius_vs_permutations(arr)
-        ok = entry["mobius_vs_permutations"]
+        em = spectra.eta_mobius(arr)
+        entry = {"d": d}
+        ok = _eta_agrees(entry, "mobius_vs_permutations", "first_mismatch",
+                         mobius=em, permutations=spectra.eta_permutations(arr))
         if d <= rank_dmax:
-            ok = _rank_route(entry, "idempotent_rank_agrees", spectra.eta_idempotent_rank(d), em) and ok
+            ok = _eta_agrees(entry, "idempotent_rank_agrees", "rank_mismatch",
+                             rank=spectra.eta_idempotent_rank(d), mobius=em) and ok
         entry["flats"] = len(arrg.flats(arr))
         entry["ok"] = ok
         results.append(entry)
@@ -95,11 +85,14 @@ def verify_thm_b(dmax=4):
     results = []
     for d in range(2, dmax + 1):
         arr = arrg.type_b(d)
-        em, entry = _mobius_vs_permutations(arr)
+        em = spectra.eta_mobius(arr)
+        entry = {"d": d}
+        ok = _eta_agrees(entry, "mobius_vs_permutations", "first_mismatch",
+                         mobius=em, permutations=spectra.eta_permutations(arr))
         bottom = em.value(arrg.bottom_flat(arr), 1)
         entry["eta_bottom_grade1"] = bottom
         entry["lower_bound_2^(d-1)"] = bottom == 2 ** (d - 1)
-        entry["ok"] = entry["mobius_vs_permutations"] and entry["lower_bound_2^(d-1)"]
+        entry["ok"] = ok and entry["lower_bound_2^(d-1)"]
         results.append(entry)
     return _report("thm-b", results)
 
@@ -112,27 +105,36 @@ def verify_cube(dmax=5, rank_dmax=spectra.RANK_BOUND):
         indicator = spectra.EtaTable(
             arr, "indicator", {(x, d - x.dim): 1 for x in arrg.flats(arr)}
         )
-        first = em.first_difference(indicator)
-        ok = first is None
-        entry = {"d": d, "mobius_indicator": ok}
-        if not ok:
-            x, r = first
-            entry["first_mismatch"] = {
-                "flat": arrg.flat_str(x),
-                "r": r,
-                "value": em.value(x, r),
-                "want": indicator.value(x, r),
-            }
+        entry = {"d": d}
+        ok = _eta_agrees(entry, "mobius_indicator", "first_mismatch", value=em, want=indicator)
         if d <= rank_dmax:
-            ok = _rank_route(entry, "gamma_rank_agrees", spectra.eta_gamma_rank(d), em) and ok
+            ok = _eta_agrees(entry, "gamma_rank_agrees", "rank_mismatch",
+                             rank=spectra.eta_gamma_rank(d), mobius=em) and ok
         entry["ok"] = ok
         results.append(entry)
     return _report("cube", results)
 
 
 def verify_gf(order_a=None, order_b=None):
-    report = gfseries.verify_identities(order_a, order_b)
-    return {"suite": "gf", "results": report, "ok": all(r["ok"] for r in report)}
+    return _report("gf", gfseries.verify_identities(order_a, order_b))
+
+
+def _idempotent_failure(fam, element, d):
+    """The first failed check of an Eulerian family and its characteristic
+    elements, or None: the message of ``EulerianFamily.check``, or the first
+    t at which the element is not characteristic or the family does not
+    reconstruct it, with the name of the failed check."""
+    try:
+        fam.check()
+    except AssertionError as exc:
+        return {"message": str(exc)}
+    for t in (2, 3, 5, -1):
+        alpha = element(d, t)
+        if not titsalgebra.is_characteristic(alpha, t):
+            return {"t": t, "check": "is_characteristic"}
+        if not titsalgebra.family_reconstructs(alpha, fam, t):
+            return {"t": t, "check": "family_reconstructs"}
+    return None
 
 
 def verify_idempotents(dmax=4):
@@ -143,18 +145,10 @@ def verify_idempotents(dmax=4):
             ("adams", titsalgebra.adams_family, titsalgebra.adams_element),
             ("gamma", titsalgebra.gamma_family, titsalgebra.gamma_element),
         ):
-            fam = family(d)
-            try:
-                entry[name] = fam.check()
-            except AssertionError:
-                entry[name] = False
-            for t in (2, 3, 5, -1):
-                alpha = element(d, t)
-                if not (
-                    titsalgebra.is_characteristic(alpha, t)
-                    and titsalgebra.family_reconstructs(alpha, fam, t)
-                ):
-                    entry[name] = False
+            failure = _idempotent_failure(family(d), element, d)
+            entry[name] = failure is None
+            if failure is not None:
+                entry.setdefault("first_mismatch", {"family": name, **failure})
         entry["ok"] = entry["adams"] and entry["gamma"]
         results.append(entry)
     return _report("idempotents", results)
@@ -174,8 +168,15 @@ def verify_conjecture(dmax=4):
     return _report("conjecture", results)
 
 
+def _labelled(coeffs, label):
+    """The nonzero coefficients of a decomposition as strings, keyed by the
+    labels of their generators."""
+    return {label(g): str(c) for g, c in coeffs.items() if c}
+
+
 def verify_b_gens(dmax=4, trials=10, seed=0):
     rng = random.Random(seed)
+    label = spectra.GeneratorFamilyB.label
     results = []
     for d in range(2, dmax + 1):
         fam = spectra.b_generators(d)
@@ -192,15 +193,20 @@ def verify_b_gens(dmax=4, trials=10, seed=0):
         co = spectra.b_decompose(pb)
         entry["permutahedron_reconstructs"] = spectra.reconstruction_holds(pb, co, polys)
         share = max(1, -(-trials // (dmax - 1)))  # ceil: at least `trials` total
-        random_ok = True
-        for _ in range(share):
+        for trial in range(share):
             p, used = spectra.random_b_deformation(d, rng)
             co = spectra.b_decompose(p)
-            if not all(co.get(g, 0) == used.get(g, 0) for g in gens):
-                random_ok = False
-            if not spectra.reconstruction_holds(p, co, polys):
-                random_ok = False
-        entry["random_reconstruct"] = random_ok
+            matches = all(co.get(g, 0) == used.get(g, 0) for g in gens)
+            reconstructs = spectra.reconstruction_holds(p, co, polys)
+            if not (matches and reconstructs):
+                entry.setdefault("first_mismatch", {
+                    "d": d,
+                    "trial": trial,
+                    "generating": _labelled(used, label),
+                    "decomposed": _labelled(co, label),
+                    "reconstructs": reconstructs,
+                })
+        entry["random_reconstruct"] = "first_mismatch" not in entry
         entry["ok"] = all(
             entry[k]
             for k in (
@@ -237,33 +243,21 @@ def verify_hopf(nmax=3, seed=0):
 
 
 def verify_all(quick=True, seed=0):
-    """Aggregate of all suites at CI bounds."""
-    if quick:
-        suites = [
-            verify_brenti("A", 4),
-            verify_brenti("B", 3),
-            verify_thm_a(4, 3),
-            verify_thm_b(3),
-            verify_cube(4, 3),
-            verify_gf(6, 4),
-            verify_idempotents(3),
-            verify_conjecture(3),
-            verify_b_gens(3, 6, seed),
-            verify_hopf(3, seed),
-        ]
-    else:
-        suites = [
-            verify_brenti("A", 5),
-            verify_brenti("B", 4),
-            verify_thm_a(5, 4),
-            verify_thm_b(4),
-            verify_cube(5, 4),
-            verify_gf(),
-            verify_idempotents(4),
-            verify_conjecture(4),
-            verify_b_gens(4, 10, seed),
-            verify_hopf(3, seed),
-        ]
+    """Aggregate of all suites at CI bounds; the full run checks each size
+    bound one further than the quick run."""
+    up = 0 if quick else 1
+    suites = [
+        verify_brenti("A", 4 + up),
+        verify_brenti("B", 3 + up),
+        verify_thm_a(4 + up, 3 + up),
+        verify_thm_b(3 + up),
+        verify_cube(4 + up, 3 + up),
+        verify_gf(6, 4) if quick else verify_gf(),
+        verify_idempotents(3 + up),
+        verify_conjecture(3 + up),
+        verify_b_gens(3 + up, 6 if quick else 10, seed),
+        verify_hopf(3, seed),
+    ]
     return {"suite": "all", "results": suites, "ok": all(s["ok"] for s in suites)}
 
 
@@ -352,7 +346,7 @@ def _cmd_decompose(args):
     if p.arr.kind != kind:
         raise ValueError(f"type {t} decomposition needs {needs} polytope")
     coeffs = decompose(p)
-    rows = {label(g): str(c) for g, c in coeffs.items() if c}
+    rows = _labelled(coeffs, label)
     ok = spectra.reconstruction_holds(p, coeffs, system(p.arr.d)[-3])
     payload = {"type": t, "d": p.arr.d, "coefficients": rows, "reconstructs": ok}
     _emit(payload, args.format)

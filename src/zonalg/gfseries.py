@@ -344,10 +344,6 @@ def eulerian_gf_B(order):
 # ---------------------------------------------------------------------------
 # identity verification
 
-def _record(name, order, ok, mismatch=None):
-    return {"identity": name, "order": order, "ok": bool(ok), "first_mismatch": mismatch}
-
-
 def _poly_of_counts(counts):
     """The polynomial sum_e counts[e] z^e."""
     coeffs = [Fraction(0)] * (max(counts, default=0) + 1)
@@ -429,118 +425,100 @@ def _partition_mobius_sum(arr):
     return acc
 
 
+def _first_mismatch(rows):
+    """The first row ``(where, lhs, rhs)`` whose two sides differ, named as
+    ``where`` with both sides as strings, or None when every row agrees."""
+    for where, lhs, rhs in rows:
+        if lhs != rhs:
+            return {**where, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
 def verify_identities(order_a=None, order_b=None):
     """Check every generating-function identity; returns a list of records.
 
     Left-hand sides come from exhaustive enumeration or Möbius-partition
     sums; right-hand sides from the closed-form series.  Identities with a
     free exponent t are checked at enough integer values to pin down the
-    coefficient polynomials in t.
+    coefficient polynomials in t.  Each identity is a stream of rows
+    ``(where, lhs, rhs)``; its record names the first row that differs.
     """
     if order_a is None:
         order_a = permstat.env_int("ZONALG_SERIES_ORDER_A", 8)
     if order_b is None:
         order_b = permstat.env_int("ZONALG_SERIES_ORDER_B", 6)
-    report = []
-
     A = eulerian_gf_A(order_a)
     B = eulerian_gf_B(order_b)
-
-    # classical exponential generating function of the Eulerian polynomials
-    mismatch = None
-    for d in range(order_a + 1):
-        if A.coeff(d, "egf") != eulerian_A(d):
-            mismatch = {"d": d, "lhs": str(eulerian_A(d)), "rhs": str(A.coeff(d, "egf"))}
-            break
-    report.append(_record("eulerian-egf-A", order_a, mismatch is None, mismatch))
-
-    mismatch = None
-    for d in range(order_b + 1):
-        if B.coeff(d, "bgf") != eulerian_B(d):
-            mismatch = {"d": d, "lhs": str(eulerian_B(d)), "rhs": str(B.coeff(d, "bgf"))}
-            break
-    report.append(_record("eulerian-egf-B", order_b, mismatch is None, mismatch))
-
-    # cyclic-excedance identity: Möbius-partition sum vs cycle enumeration,
-    # and its series form (both sides have egf log A(z,x))
-    mismatch = None
-    logA = A.log()
-    for d in range(1, order_a + 1):
-        lhs = _partition_mobius_sum(arrg.braid(d))
-        rhs = _cyclic_excedance_poly(d)
-        if lhs != rhs or logA.coeff(d, "egf") != rhs:
-            mismatch = {"d": d, "lhs": str(lhs), "rhs": str(rhs)}
-            break
-    report.append(_record("cyclic-excedance-A", order_a, mismatch is None, mismatch))
-
-    # type B analogue: both sides have B-convention generating function
-    # B(z,x)/sqrt(A(z,x)) - 1
-    mismatch = None
     Ab = eulerian_gf_A(order_b)
-    closed = B * Ab.power(Fraction(-1, 2))
-    for d in range(1, order_b + 1):
-        lhs = _partition_mobius_sum(arrg.type_b(d))
-        rhs = _signed_central_poly(d)
-        if lhs != rhs or closed.coeff(d, "bgf") != rhs:
-            mismatch = {"d": d, "lhs": str(lhs), "rhs": str(rhs)}
-            break
-    report.append(_record("cyclic-excedance-B", order_b, mismatch is None, mismatch))
-
-    # 1 + sum (-1)^d (2d-1)!! x^d/(2d)!! = (1+x)^{-1/2}
-    mismatch = None
-    dfs = TruncSeries.from_coeffs(
-        [RatPoly.of(Fraction((-1) ** d * math.prod(range(2 * d - 1, 0, -2)))) for d in range(order_b + 1)],
-        order_b,
-        "bgf",
-    )
+    # B(z,x)/sqrt(A(z,x)), the B-convention series of the central count
+    central = B * Ab.power(Fraction(-1, 2))
     sqrt_inv = (TruncSeries.one(order_b) + TruncSeries.x(order_b)).power(Fraction(-1, 2))
-    if dfs.coeffs != sqrt_inv.coeffs:
-        mismatch = {"detail": "series differ"}
-    report.append(_record("double-factorial-sqrt", order_b, mismatch is None, mismatch))
-
-    # bivariate identity in type A: egf of t^{|supp|} z^{exc} equals A(z,x)^t;
-    # polynomials in t of degree <= d are pinned by order_a + 1 integer points
-    mismatch = None
-    for t in range(order_a + 1):
-        rhs = A.power(t)
-        for d in range(order_a + 1):
-            lhs = _bivariate_A(d, t) if d else RatPoly.of(1)
-            if rhs.coeff(d, "egf") != lhs:
-                mismatch = {"t": t, "d": d, "lhs": str(lhs), "rhs": str(rhs.coeff(d, "egf"))}
-                break
-        if mismatch:
-            break
-    report.append(_record("supp-excedance-bivariate-A", order_a, mismatch is None, mismatch))
-
-    # type B compositional formula, exercised on two coefficient families
-    mismatch = _check_compositional_b(order_b)
-    report.append(_record("compositional-B", order_b, mismatch is None, mismatch))
-
-    mismatch = _check_exponential_b(order_b)
-    report.append(_record("exponential-B", order_b, mismatch is None, mismatch))
-
-    # bivariate identity in type B: B-gf of t^{dim supp} z^{exc_B} equals
-    # B(z,x) A(z,x)^{(t-1)/2}
-    mismatch = None
-    for t in (0, 1, 2, 3):
-        rhs = B * Ab.power(Fraction(t - 1, 2))
-        for d in range(order_b + 1):
-            lhs = _bivariate_B(d, t) if d else RatPoly.of(1)
-            if rhs.coeff(d, "bgf") != lhs:
-                mismatch = {"t": t, "d": d, "lhs": str(lhs), "rhs": str(rhs.coeff(d, "bgf"))}
-                break
-        if mismatch:
-            break
-    # the t = 0 specialization with x -> 2x also matches the central count
-    if mismatch is None:
-        spec = (B * Ab.power(Fraction(-1, 2))).scale_x(2)
-        for d in range(1, order_b + 1):
-            if spec.coeff(d).scale(_dfact(d)).scale(Fraction(1, 2 ** d)) != _signed_central_poly(d):
-                mismatch = {"t": 0, "d": d, "detail": "x->2x specialization"}
-                break
-    report.append(_record("supp-excedance-bivariate-B", order_b, mismatch is None, mismatch))
-
+    identities = (
+        # classical exponential generating function of the Eulerian polynomials
+        ("eulerian-egf-A", order_a, _coefficient_rows(eulerian_A, A, "egf", range(order_a + 1))),
+        ("eulerian-egf-B", order_b, _coefficient_rows(eulerian_B, B, "bgf", range(order_b + 1))),
+        # cyclic-excedance identity: both sides have egf log A(z,x)
+        ("cyclic-excedance-A", order_a,
+         _central_rows(arrg.braid, _cyclic_excedance_poly, A.log(), "egf", order_a)),
+        # type B analogue: both sides have B-convention generating function
+        # B(z,x)/sqrt(A(z,x)) - 1
+        ("cyclic-excedance-B", order_b,
+         _central_rows(arrg.type_b, _signed_central_poly, central, "bgf", order_b)),
+        # 1 + sum (-1)^d (2d-1)!! x^d/(2d)!! = (1+x)^{-1/2}
+        ("double-factorial-sqrt", order_b, _coefficient_rows(
+            lambda d: RatPoly.of((-1) ** d * math.prod(range(2 * d - 1, 0, -2))),
+            sqrt_inv, "bgf", range(order_b + 1),
+        )),
+        # bivariate identity in type A: egf of t^{|supp|} z^{exc} equals A(z,x)^t;
+        # polynomials in t of degree <= d are pinned by order_a + 1 integer points
+        ("supp-excedance-bivariate-A", order_a, _bivariate_rows(
+            _bivariate_A, ((t, A.power(t)) for t in range(order_a + 1)), "egf", order_a
+        )),
+        # type B compositional formula, exercised on two coefficient families
+        ("compositional-B", order_b, _compositional_rows(order_b)),
+        ("exponential-B", order_b, _exponential_rows(order_b)),
+        # bivariate identity in type B: B-gf of t^{dim supp} z^{exc_B} equals
+        # B(z,x) A(z,x)^{(t-1)/2}; at t = 0 with x -> 2x, read as an egf, it
+        # also matches the central count
+        ("supp-excedance-bivariate-B", order_b, itertools.chain(
+            _bivariate_rows(
+                _bivariate_B, ((t, B * Ab.power(Fraction(t - 1, 2))) for t in (0, 1, 2, 3)),
+                "bgf", order_b,
+            ),
+            _coefficient_rows(_signed_central_poly, central.scale_x(2), "egf",
+                              range(1, order_b + 1), t=0),
+        )),
+    )
+    report = []
+    for name, order, rows in identities:
+        mismatch = _first_mismatch(rows)
+        report.append({"identity": name, "order": order, "ok": mismatch is None,
+                       "first_mismatch": mismatch})
     return report
+
+
+def _coefficient_rows(count, series, convention, degrees, **where):
+    """For each d of ``degrees``: ``count(d)`` against the coefficient of x^d
+    in ``series``, read in ``convention``."""
+    for d in degrees:
+        yield {"d": d, **where}, count(d), series.coeff(d, convention)
+
+
+def _central_rows(arrangement, count, series, convention, order):
+    """For d = 1..order: the Möbius-partition sum over ``arrangement(d)``,
+    then the coefficient of x^d in ``series``, each against ``count(d)``."""
+    for d in range(1, order + 1):
+        want = count(d)
+        yield {"d": d}, _partition_mobius_sum(arrangement(d)), want
+        yield {"d": d}, series.coeff(d, convention), want
+
+
+def _bivariate_rows(tally_poly, powers, convention, order):
+    """For each (t, series) of ``powers`` and d = 0..order: the statistic sum
+    ``tally_poly(d, t)`` against the coefficient of x^d in the series."""
+    for t, series in powers:
+        for d in range(order + 1):
+            yield {"d": d, "t": t}, tally_poly(d, t) if d else _P_ONE, series.coeff(d, convention)
 
 
 def _coefficient_series(constant, c, order, convention):
@@ -553,22 +531,19 @@ def _coefficient_series(constant, c, order, convention):
     )
 
 
-def _signed_flat_sum_mismatch(order, rhs, fc, gc, ac):
+def _signed_flat_rows(order, rhs, fc, gc, ac, **where):
     """Brute-force sums over the signed partitions of [±d], d <= min(order, 4),
     against the bgf coefficients of ``rhs``: a flat of type (k, (s_1..s_m))
-    contributes f_k g_m a_{s_1} ... a_{s_m}.  The first differing d, or None."""
+    contributes f_k g_m a_{s_1} ... a_{s_m}."""
     for d in range(1, min(order, 4) + 1):
         lhs = Fraction(0)
         for x in arrg.flats(arrg.type_b(d)):
             zero, sizes = arrg.flat_type(x)
             lhs += fc(zero) * gc(len(sizes)) * math.prod(map(ac, sizes))
-        got = rhs.coeff(d, "bgf")
-        if got != RatPoly.of(lhs):
-            return {"d": d, "lhs": str(lhs), "rhs": str(got)}
-    return None
+        yield {"d": d, **where}, RatPoly.of(lhs), rhs.coeff(d, "bgf")
 
 
-def _check_compositional_b(order):
+def _compositional_rows(order):
     """Brute-force signed-partition sums against f(x) g(a(x)).
 
     Checked for two coefficient families: all-ones, and a second family with
@@ -584,10 +559,7 @@ def _check_compositional_b(order):
         a = _coefficient_series(0, ac, order, "egf")
         # g(a(x)) needs g as a function of its argument: expand via the bgf
         # coefficients g_k against powers of a
-        mismatch = _signed_flat_sum_mismatch(order, f * _compose_bgf(g, a, order), fc, gc, ac)
-        if mismatch:
-            return {"family": fam, **mismatch}
-    return None
+        yield from _signed_flat_rows(order, f * _compose_bgf(g, a, order), fc, gc, ac, family=fam)
 
 
 def _compose_bgf(g, a, order):
@@ -601,7 +573,7 @@ def _compose_bgf(g, a, order):
     return result
 
 
-def _check_exponential_b(order):
+def _exponential_rows(order):
     """The compositional sums at g_k = 1, where g(a(x)) = exp(a(x)/2):
     h(x) = f(x) exp(a(x)/2), with exp computed by its own series."""
     fc = lambda d: Fraction(1, d + 1)
@@ -609,4 +581,4 @@ def _check_exponential_b(order):
     f = _coefficient_series(1, fc, order, "bgf")
     a = _coefficient_series(0, ac, order, "egf")
     rhs = f * a.scale(Fraction(1, 2)).exp()
-    return _signed_flat_sum_mismatch(order, rhs, fc, lambda k: Fraction(1), ac)
+    return _signed_flat_rows(order, rhs, fc, lambda k: Fraction(1), ac)

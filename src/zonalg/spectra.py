@@ -150,16 +150,6 @@ def eta_permutations(arr):
 # ---------------------------------------------------------------------------
 # route 3: idempotent ranks in cone-weight coordinates
 
-@lru_cache(maxsize=None)
-def _adams_family(d):
-    return titsalgebra.adams_family(d)
-
-
-@lru_cache(maxsize=None)
-def _gamma_family(d):
-    return titsalgebra.gamma_family(d)
-
-
 def _phi_vector(x, face_order):
     return x.phi().to_vector(face_order)
 
@@ -242,13 +232,13 @@ def _eta_rank(arr, family, spanning_sets):
 
 def eta_idempotent_rank(d):
     """Braid-arrangement eta values as ranks of idempotent images."""
-    return _eta_rank(arrg.braid(d), _adams_family, _spanning_sets_braid)
+    return _eta_rank(arrg.braid(d), titsalgebra.adams_family, _spanning_sets_braid)
 
 
 def eta_gamma_rank(d):
     """Coordinate-arrangement eta values as ranks of idempotent images,
     using the segment-product eigenvectors as the spanning sets."""
-    return _eta_rank(arrg.coordinate(d), _gamma_family, _spanning_sets_coordinate)
+    return _eta_rank(arrg.coordinate(d), titsalgebra.gamma_family, _spanning_sets_coordinate)
 
 
 def _y_product(arr, s):
@@ -265,7 +255,7 @@ def _y_product(arr, s):
 
 def x_sigma(sigma, family=None):
     """Path-product eigenvector candidate attached to a permutation."""
-    family = family or _adams_family(sigma.d)
+    family = family or titsalgebra.adams_family(sigma.d)
     return _leaf_path_product(sigma).act(family[sigma.supp()])
 
 
@@ -293,7 +283,7 @@ def conjecture_check(d):
         raise permstat.BoundExceededError("the full independence check is bounded at d = 4")
     arr = arrg.braid(d)
     face_order = list(arrg.faces(arr))
-    fam = _adams_family(d)
+    fam = titsalgebra.adams_family(d)
     eta = eta_mobius(arr)
     groups = {}
     for sigma in permstat.symmetric_group(d):
@@ -349,7 +339,7 @@ def y_basis_cube(d):
         raise permstat.BoundExceededError("the cube eigenbasis check is bounded at d = 5")
     arr = arrg.coordinate(d)
     face_order = list(arrg.faces(arr))
-    fam = _gamma_family(d)
+    fam = titsalgebra.gamma_family(d)
     cube = polyclass.cube(d)
     tracker = linalg.IncrementalRank(len(face_order))
     records = []

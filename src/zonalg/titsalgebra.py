@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import attrgetter
 
@@ -161,6 +162,7 @@ def adams_element(d, t):
     return TitsElement(arr, out)
 
 
+@lru_cache(maxsize=None)
 def adams_family(d):
     """The Eulerian idempotents attached to the Adams elements.
 
@@ -207,6 +209,7 @@ def gamma_element(d, t):
     return TitsElement(arr, out)
 
 
+@lru_cache(maxsize=None)
 def gamma_family(d):
     """The Eulerian family of the gamma_t for the coordinate arrangement (one
     family for every t != 1).

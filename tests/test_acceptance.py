@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from zonalg import arrangement as arrg
-from zonalg import cli, linalg, permstat, polyclass, spectra
+from zonalg import cli, linalg, permstat, polyclass, spectra, titsalgebra
 from zonalg.arrangement import braid, type_b, coordinate
 from zonalg.gfseries import eulerian_A, verify_identities
 from zonalg.polyclass import (
@@ -193,7 +193,7 @@ def test_criterion_09_x_sigma_program():
         ok = ok and rep["all_independent"] and rep["extremal_products_fixed"]
         # the grade-one basis: log-simplex classes acted by their idempotents
         arr = braid(d)
-        fam = spectra._adams_family(d)
+        fam = titsalgebra.adams_family(d)
         import itertools
 
         face_order = list(arrg.faces(arr))

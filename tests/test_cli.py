@@ -6,8 +6,17 @@ import sys
 import pytest
 
 from zonalg import arrangement as arrg
-from zonalg import spectra
-from zonalg.cli import main, verify_conjecture, verify_cube, verify_thm_a, verify_thm_b
+from zonalg import spectra, titsalgebra
+from zonalg.cli import (
+    main,
+    verify_b_gens,
+    verify_brenti,
+    verify_conjecture,
+    verify_cube,
+    verify_idempotents,
+    verify_thm_a,
+    verify_thm_b,
+)
 
 
 def run_cli(capsys, *argv):
@@ -368,6 +377,108 @@ def test_rank_routes_name_first_mismatch(monkeypatch, route, verify, arr, key):
     assert bad["rank_mismatch"] == {"flat": arrg.flat_str(x), "r": 1, "rank": want + 1, "mobius": want}
 
 
+def test_verify_brenti_names_both_polynomials(monkeypatch):
+    from zonalg import gfseries
+
+    real = gfseries.eulerian_A
+    bumped = real(3) + gfseries.RatPoly.z()
+    monkeypatch.setattr(gfseries, "eulerian_A", lambda d: bumped if d == 3 else real(d))
+    report = verify_brenti("A", 3)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good == {"case": "A d=2", "ok": True}
+    assert bad == {
+        "case": "A d=3",
+        "ok": False,
+        "first_mismatch": {"h_polynomial": str(real(3)), "eulerian": str(bumped)},
+    }
+
+
+def _assert_idempotents_name(witness):
+    report = verify_idempotents(3)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good == {"d": 2, "adams": True, "gamma": True, "ok": True}
+    other = "adams" if witness["family"] == "gamma" else "gamma"
+    assert bad[witness["family"]] is False and bad[other] is True and bad["ok"] is False
+    assert bad["first_mismatch"] == witness
+
+
+def test_verify_idempotents_names_failed_family_check(monkeypatch):
+    real = titsalgebra.EulerianFamily.check
+
+    def check(fam):
+        if fam.arr == arrg.coordinate(3):
+            raise AssertionError("family does not sum to H_O")
+        return real(fam)
+
+    monkeypatch.setattr(titsalgebra.EulerianFamily, "check", check)
+    _assert_idempotents_name({"family": "gamma", "message": "family does not sum to H_O"})
+
+
+@pytest.mark.parametrize(
+    "name, fails, witness",
+    [
+        (
+            "is_characteristic",
+            lambda w, t: w.arr == arrg.braid(3) and t == 3,
+            {"family": "adams", "t": 3, "check": "is_characteristic"},
+        ),
+        (
+            "family_reconstructs",
+            lambda w, fam, t: fam.arr == arrg.coordinate(3) and t == 5,
+            {"family": "gamma", "t": 5, "check": "family_reconstructs"},
+        ),
+    ],
+)
+def test_verify_idempotents_names_failing_t(monkeypatch, name, fails, witness):
+    real = getattr(titsalgebra, name)
+    monkeypatch.setattr(titsalgebra, name, lambda *args: not fails(*args) and real(*args))
+    _assert_idempotents_name(witness)
+
+
+def test_verify_b_gens_names_first_failing_trial(monkeypatch):
+    real = spectra.b_decompose
+    calls = []
+    seen = {}
+
+    def decompose(p):
+        co = real(p)
+        if p.arr.d == 3:
+            calls.append(p)
+            # call 1 is the permutahedron, call 3 the second random trial
+            if len(calls) == 3:
+                seen["real"] = co
+                g = next(iter(co))
+                co = {**co, g: co[g] + 1}
+                seen["bumped"] = co
+        return co
+
+    monkeypatch.setattr(spectra, "b_decompose", decompose)
+    report = verify_b_gens(3, 4, 0)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good["ok"] and "first_mismatch" not in good
+    assert bad["random_reconstruct"] is False
+    label = spectra.GeneratorFamilyB.label
+    assert bad["first_mismatch"] == {
+        "d": 3,
+        "trial": 1,
+        "reconstructs": False,
+        "generating": {label(g): str(c) for g, c in seen["real"].items() if c},
+        "decomposed": {label(g): str(c) for g, c in seen["bumped"].items() if c},
+    }
+
+
+def test_verify_identities_report_is_pinned():
+    import hashlib
+
+    from zonalg.gfseries import verify_identities
+
+    report = json.dumps(verify_identities(8, 6), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_IDENTITIES_SHA256
+
+
 def _decompose_json(tmp_path, capsys, data, kind="A"):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(data))
@@ -420,6 +531,10 @@ def test_polytope_json_unknown_arrangement_exits_2(tmp_path, capsys, name):
 # known-good run: any change to a report shows here, and a deliberate one
 # records the new digest
 VERIFY_ALL_QUICK_SHA256 = "1bbc3cc78c9b414ada1505e362893b6068845d4fa2165d0a83d542802987aabb"
+
+# sha256 of ``json.dumps(verify_identities(8, 6), sort_keys=True)``, the
+# series report at its default orders, from a known-good run
+VERIFY_IDENTITIES_SHA256 = "b4e248917a24ce71a222ef0a4a76e62ac8d20cd88054f1b0e01b38c31481d346"
 
 
 def test_verify_all_quick_output_is_pinned():

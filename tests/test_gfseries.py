@@ -226,3 +226,98 @@ def test_unknown_convention_is_rejected():
         TruncSeries.from_coeffs([1, 1], 1, "egff")
     with pytest.raises(ValueError, match="unknown convention"):
         TruncSeries.one(2).coeff(1, "EGF")
+
+
+def _raise_coefficient(real, at):
+    """``real`` with z added to its value at the argument ``at``."""
+    return lambda d: real(d) + RatPoly.z() if d == at else real(d)
+
+
+def _shift_one_excedance(tally, k):
+    """A tally with one element of support dimension k moved up one excedance."""
+    tally = dict(tally)
+    (k, e), c = next(item for item in sorted(tally.items()) if item[0][0] == k)
+    tally[(k, e)] = c - 1
+    tally[(k, e + 1)] = tally.get((k, e + 1), 0) + 1
+    return tuple(sorted(tally.items()))
+
+
+def _corrupt_egf_A(mp):
+    # eulerian_A(0) is read only by the egf check: Möbius sums take A_s at s >= 1
+    mp.setattr(gfseries, "eulerian_A", _raise_coefficient(gfseries.eulerian_A, 0))
+
+
+def _corrupt_egf_B(mp):
+    mp.setattr(gfseries, "eulerian_B", _raise_coefficient(gfseries.eulerian_B, 2))
+
+
+def _corrupt_cyclic_A(mp):
+    mp.setattr(gfseries, "_cyclic_excedance_poly", _raise_coefficient(gfseries._cyclic_excedance_poly, 3))
+
+
+def _corrupt_cyclic_B(mp):
+    real = gfseries._partition_mobius_sum
+    mp.setattr(
+        gfseries,
+        "_partition_mobius_sum",
+        lambda arr: real(arr) + RatPoly.z() if arr == arrg.type_b(2) else real(arr),
+    )
+
+
+def _corrupt_double_factorial(mp):
+    # the substitution x -> 2x in (1 + x)^{-1/2}
+    real = TruncSeries.x.__func__
+    mp.setattr(TruncSeries, "x", classmethod(lambda cls, order: real(cls, order).scale(2)))
+
+
+def _corrupt_bivariate_A(mp):
+    real = gfseries._perm_stats
+    mp.setattr(gfseries, "_perm_stats", lambda d: _shift_one_excedance(real(d), 1) if d == 3 else real(d))
+
+
+def _corrupt_compositional(mp):
+    real = gfseries._compose_bgf
+    mp.setattr(gfseries, "_compose_bgf", lambda g, a, order: real(g, a, order) + TruncSeries.x(order))
+
+
+def _corrupt_exponential(mp):
+    # the exponential sums are the only signed-flat sums that name no family
+    real = gfseries._signed_flat_rows
+
+    def rows(order, rhs, fc, gc, ac, **where):
+        return real(order, rhs if where else rhs + TruncSeries.x(order), fc, gc, ac, **where)
+
+    mp.setattr(gfseries, "_signed_flat_rows", rows)
+
+
+def _corrupt_bivariate_B(mp):
+    # an element of support dimension 1 leaves the central (dimension 0) count alone
+    real = gfseries._signed_stats
+    mp.setattr(gfseries, "_signed_stats", lambda d: _shift_one_excedance(real(d), 1) if d == 2 else real(d))
+
+
+@pytest.mark.parametrize(
+    "identity, corrupt, where, also",
+    [
+        ("eulerian-egf-A", _corrupt_egf_A, {"d": 0}, ()),
+        # the Möbius sums of the cyclic identity read the same B_k
+        ("eulerian-egf-B", _corrupt_egf_B, {"d": 2}, ("cyclic-excedance-B",)),
+        ("cyclic-excedance-A", _corrupt_cyclic_A, {"d": 3}, ()),
+        ("cyclic-excedance-B", _corrupt_cyclic_B, {"d": 2}, ()),
+        ("double-factorial-sqrt", _corrupt_double_factorial, {"d": 1}, ()),
+        ("supp-excedance-bivariate-A", _corrupt_bivariate_A, {"d": 3, "t": 1}, ()),
+        ("compositional-B", _corrupt_compositional, {"d": 1, "family": 0}, ()),
+        ("exponential-B", _corrupt_exponential, {"d": 1}, ()),
+        ("supp-excedance-bivariate-B", _corrupt_bivariate_B, {"d": 2, "t": 1}, ()),
+    ],
+)
+def test_corrupted_input_names_first_row(monkeypatch, identity, corrupt, where, also):
+    corrupt(monkeypatch)
+    report = {r["identity"]: r for r in verify_identities(order_a=5, order_b=3)}
+    bad = report.pop(identity)
+    assert bad["ok"] is False
+    witness = bad["first_mismatch"]
+    lhs, rhs = witness.pop("lhs"), witness.pop("rhs")
+    assert witness == where
+    assert isinstance(lhs, str) and isinstance(rhs, str) and lhs != rhs
+    assert sorted(name for name, r in report.items() if not r["ok"]) == sorted(also)

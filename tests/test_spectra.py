@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from zonalg import arrangement as arrg
-from zonalg import polyclass
+from zonalg import polyclass, titsalgebra
 from zonalg.arrangement import braid, type_b, coordinate, bottom_flat, top_flat
 from zonalg.gfseries import eulerian_A, eulerian_B
 from zonalg.permstat import Permutation, symmetric_group
@@ -141,9 +141,7 @@ def test_x_sigma_single_excedance_case():
 def test_x_flat_properties():
     for d in (2, 3):
         arr = braid(d)
-        from zonalg.spectra import _adams_family
-
-        fam = _adams_family(d)
+        fam = titsalgebra.adams_family(d)
         for fl in arrg.flats(arr):
             xe = x_flat(fl)
             assert not xe.phi().is_zero()
