@@ -16,8 +16,8 @@ is its covector over that list: the sign of every hyperplane on the face,
 packed into two int bitmasks.  A flat is the zero set of the covectors of
 its faces, one int bitmask.  So the Tits product, the face order, the face
 of a point, the support map and the flat order and join read only the list
-and the masks.  The kind shows only in the hyperplane list, the face
-enumerator, the strings and the block view of a face (``_view``), which is
+and the masks.  The kind shows only in the hyperplane list, the flat and
+face rules, the strings and the block view of a face (``_view``), which is
 shaped like this:
 
 * A: tuple of frozensets (the ordered blocks);
@@ -29,7 +29,12 @@ shaped like this:
 The blocks of a flat (``flat_blocks``) are read once per flat and are
 shaped alike for every kind: the zero block, and one block per ± pair of
 the other blocks.  Dimensions, flat types, Möbius values and strings are
-read off them.
+read off them, and so are the faces: those with support X are the
+orderings (types A and B) and signings (types B and C) of the pair blocks
+of X.  They are built once per flat, into the one index that ``faces``,
+``chambers``, ``walls`` and ``faces_with_support`` read.  A face or flat
+string is accepted exactly when the face read back off its covector, or the
+flat read back off its zero set, has the parsed blocks.
 
 All values are immutable; every function is pure.
 """
@@ -241,17 +246,21 @@ def _plane_bits(arr):
     return out
 
 
-def _flat_of_classes(arr, zero, blocks):
-    """The flat with these blocks, in the form ``_classes`` returns, which it
-    keeps rather than reading them off the zero set again: it lies in the
-    hyperplanes x_a = x_b of every two elements of one block, 0 counted in
-    the zero block."""
+def _zero_set(arr, zero, blocks):
+    """The hyperplanes x_a = x_b of every two elements of one block, 0
+    counted in the zero block."""
     bits = _plane_bits(arr)
     zero_set = 0
     for block in ((0, *zero), *blocks):
         for pair in itertools.combinations(block, 2):
             zero_set |= bits.get(pair, 0)
-    flat = Flat(arr, zero_set)
+    return zero_set
+
+
+def _flat_of_classes(arr, zero, blocks):
+    """The flat with these blocks, in the form ``_classes`` returns, which it
+    keeps rather than reading them off the zero set again."""
+    flat = Flat(arr, _zero_set(arr, zero, blocks))
     if flat._blocks is None:
         flat._blocks = zero, blocks
     return flat
@@ -269,31 +278,17 @@ def flat_blocks(flat):
     the classes of {-d..d} under x_a = x_b for every hyperplane (a, b) the
     flat lies in (see ``_classes``)."""
     if flat._blocks is None:
-        flat._blocks = _read_blocks(flat)
+        flat._blocks = _read_blocks(flat.arr, flat.zero)
     return flat._blocks
 
 
-def _read_blocks(flat):
-    planes = hyperplanes(flat.arr)
-    return _classes(flat.arr, (planes[k] for k in range(len(planes)) if flat.zero >> k & 1))
+def _read_blocks(arr, zero_set):
+    planes = hyperplanes(arr)
+    return _classes(arr, (planes[k] for k in range(len(planes)) if zero_set >> k & 1))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-def _set_compositions(items):
-    """All ordered set partitions of ``items`` (a tuple)."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for comp in _set_compositions(rest):
-        # put `first` into an existing block, or as a new block anywhere
-        for i, block in enumerate(comp):
-            yield comp[:i] + (block | {first},) + comp[i + 1:]
-        for i in range(len(comp) + 1):
-            yield comp[:i] + (frozenset([first]),) + comp[i:]
-
 
 def _set_partitions(items):
     if not items:
@@ -326,28 +321,39 @@ def _flat_sort_key(flat):
     return (len(blocks), tuple(sorted(e for e in zero if e > 0)), tuple(rows))
 
 
+def _views_with_support(flat):
+    """The block views of the faces with support ``flat``: the orderings
+    (types A and B) and the signings (types B and C) of its pair blocks."""
+    kind = flat.arr.kind
+    zero, pairs = flat_blocks(flat)
+    for signing in itertools.product(*[(1,) if kind == KIND_A else (1, -1)] * len(pairs)):
+        if kind == KIND_C:
+            sign_of = {min(b): s for b, s in zip(pairs, signing)}
+            yield tuple(sign_of.get(i, 0) for i in range(1, flat.arr.d + 1))
+            continue
+        signed = [b if s > 0 else _neg(b) for b, s in zip(pairs, signing)]
+        for order in itertools.permutations(signed):
+            yield order if kind == KIND_A else (order, zero)
+
+
 @lru_cache(maxsize=None)
+def _support_index(arr):
+    """(all faces, ordered by (dim, key); flat -> the faces with that
+    support, in the same order).  Each face is built once, from the blocks
+    of its support."""
+    ordered = sorted(
+        (_face_of_view(arr, v) for x in flats(arr) for v in _views_with_support(x)),
+        key=_face_sort_key,
+    )
+    index = {x: [] for x in flats(arr)}
+    for f in ordered:
+        index[support(f)].append(f)
+    return tuple(ordered), {x: tuple(fs) for x, fs in index.items()}
+
+
 def faces(arr):
     """All faces of the arrangement, deterministically ordered by (dim, key)."""
-    d = arr.d
-    views = []
-    if arr.kind == KIND_A:
-        views.extend(_set_compositions(tuple(range(1, d + 1))))
-    elif arr.kind == KIND_B:
-        ground = tuple(range(1, d + 1))
-        for zero_abs in _subsets(ground):
-            live = tuple(x for x in ground if x not in zero_abs)
-            zero = frozenset(zero_abs) | frozenset(-x for x in zero_abs)
-            for comp in _set_compositions(live):
-                for signs in itertools.product((1, -1), repeat=len(live)):
-                    sign_of = dict(zip(live, signs))
-                    blocks = tuple(
-                        frozenset(x * sign_of[x] for x in block) for block in comp
-                    )
-                    views.append((blocks, zero))
-    else:
-        views.extend(itertools.product((-1, 0, 1), repeat=d))
-    return tuple(sorted((_face_of_view(arr, v) for v in views), key=_face_sort_key))
+    return _support_index(arr)[0]
 
 
 def _subsets(items):
@@ -390,8 +396,15 @@ def _signings(block):
 
 
 def chambers(arr):
-    full = arr.d
-    return tuple(f for f in faces(arr) if f.dim == full)
+    return faces_with_support(arr, top_flat(arr))
+
+
+@lru_cache(maxsize=None)
+def walls(arr):
+    """The faces of dimension d - 1, each on one side of one hyperplane, in
+    the order of faces()."""
+    sides = (f for x in flats(arr) if x.dim == arr.d - 1 for f in faces_with_support(arr, x))
+    return tuple(sorted(sides, key=_face_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +441,7 @@ def flats_geq(x):
 
 
 def faces_with_support(arr, x):
-    return [f for f in faces(arr) if support(f) == x]
+    return _support_index(arr)[1][x]
 
 
 def flat_type(flat):
@@ -495,29 +508,19 @@ def _read_view(face):
     return blocks[: (len(blocks) - bool(zero)) // 2], zero
 
 
-def _point(arr, view, variant=0):
-    """An integer point in the relative interior of the face with this view."""
+def _point(arr, view):
+    """An integer point in the relative interior of the face with this view:
+    the sign vector itself (type C), or top - i on the elements of the i-th
+    block and its negative on their negatives (types A and B, where top is
+    k - 1 for k blocks in type A and k in type B, whose zero block is 0)."""
+    if arr.kind == KIND_C:
+        return list(view)
+    blocks = view if arr.kind == KIND_A else view[0]
+    top = len(blocks) - (arr.kind == KIND_A)
     x = [0] * arr.d
-    if arr.kind == KIND_A:
-        k = len(view)
-        for i, block in enumerate(view):
-            v = k - (i + 1)
-            for j in block:
-                x[j - 1] = v * v if variant else v
-    elif arr.kind == KIND_B:
-        blocks, _zero = view
-        m = len(blocks)
-        for i, block in enumerate(blocks):
-            v = m - i
-            val = v * v if variant else v
-            for e in block:
-                if e > 0:
-                    x[e - 1] = val
-                else:
-                    x[-e - 1] = -val
-    else:
-        for i, s in enumerate(view):
-            x[i] = s * (i + 2 if variant else 1)
+    for i, block in enumerate(blocks):
+        for e in block:
+            x[abs(e) - 1] = top - i if e > 0 else i - top
     return x
 
 
@@ -537,13 +540,9 @@ def _face_of_view(arr, view):
     return face
 
 
-def interior_point(face, variant=0):
-    """A canonical rational point in the relative interior of the face.
-
-    ``variant=1`` gives a second, independent interior point (used to check
-    that computations do not depend on the choice).
-    """
-    return tuple(Fraction(c) for c in _point(face.arr, _view(face), variant))
+def interior_point(face):
+    """A canonical rational point in the relative interior of the face."""
+    return tuple(Fraction(c) for c in _interior(face))
 
 
 def face_of_point(arr, point):
@@ -697,30 +696,32 @@ def parse_face(arr, text):
     if arr.kind == KIND_A:
         view = tuple(_parse_block(tok, arr.d) for tok in text.split("|"))
     elif arr.kind == KIND_B:
-        toks = text.split("|")
-        zero = frozenset()
-        blocks = []
-        zero_seen = False
-        for tok in toks:
+        zero, blocks = None, []
+        for tok in text.split("|"):
             tok = tok.strip()
             if tok.startswith("0:"):
                 zero = _parse_block(tok[2:], arr.d)
-                zero_seen = True
-            elif not zero_seen:
+            elif zero is None:
                 blocks.append(_parse_block(tok, arr.d))
-        if not zero_seen:
+        if zero is None:
             # no explicit zero block: the listed blocks are symmetric halves
             if len(blocks) % 2:
                 raise ValueError(f"cannot parse type-B face {text!r}")
-            blocks = blocks[: len(blocks) // 2]
+            blocks, zero = blocks[: len(blocks) // 2], frozenset()
         view = (tuple(blocks), zero)
     else:
         signs = {"+": 1, "-": -1, "0": 0}
         if any(c not in signs for c in text):
             raise ValueError(f"invalid sign vector {text!r}")
         view = tuple(signs[c] for c in text)
-    _validate_view(arr, view)
-    return _face_of_view(arr, view)
+    # a valid view gives a point of its face, and the face gives it back
+    try:
+        face = face_of_point(arr, _point(arr, view))
+    except IndexError:  # an element past d
+        face = None
+    if face is None or _view(face) != view:
+        raise ValueError(f"face {text!r} is not a face of {arr.kind}{arr.d}")
+    return face
 
 
 def parse_flat(arr, text):
@@ -739,51 +740,17 @@ def parse_flat(arr, text):
             zero = _parse_block(tok[2:], arr.d)
         elif tok:
             blocks.append(_parse_block(tok, arr.d))
-    _validate_flat(arr, zero, blocks, text)
-    return flat_of_blocks(arr, zero, blocks)
-
-
-def _validate_flat(arr, zero, blocks, text):
-    """Check that the blocks partition the ground set: [d] for type A, [±d]
-    for type B, where the zero block must be closed under negation, and each
-    other block must miss its own negative and stands for itself and its
-    negative (so it may be listed once or twice)."""
-    ground = frozenset(range(1, arr.d + 1))
-    if arr.kind == KIND_B:
-        ground |= _neg(ground)
-        if zero != _neg(zero):
-            raise ValueError(f"flat {text!r}: the zero block is not closed under negation")
-        if any(b & _neg(b) for b in blocks):
-            raise ValueError(f"flat {text!r}: a nonzero block meets its own negative")
-        blocks = list({*blocks, *map(_neg, blocks)}) + ([zero] if zero else [])
-    covered = frozenset().union(*blocks)
-    if not all(blocks) or sum(map(len, blocks)) != len(covered) or covered != ground:
+    # valid blocks give the zero set of their flat, and it gives them back
+    read_zero, read = _read_blocks(arr, _zero_set(arr, zero, blocks))
+    if zero != read_zero or _listed(arr, blocks) != _listed(arr, read):
         raise ValueError(f"flat {text!r} is not a partition of the ground set of {arr.kind}{arr.d}")
+    return _flat_of_classes(arr, read_zero, read)
 
 
-def _validate_view(arr, view):
-    ground = set(range(1, arr.d + 1))
-    if arr.kind == KIND_A:
-        seen = set()
-        for b in view:
-            if not b or b & seen:
-                raise ValueError(f"invalid face {view}")
-            seen |= b
-        if seen != ground:
-            raise ValueError(f"face does not cover the ground set: {view}")
-    elif arr.kind == KIND_B:
-        blocks, zero = view
-        if zero != frozenset(-e for e in zero):
-            raise ValueError("zero block must be involution-inclusive")
-        seen = set(zero)
-        for b in blocks:
-            if not b or b & frozenset(-e for e in b):
-                raise ValueError("nonzero blocks must be involution-exclusive")
-            if (b | frozenset(-e for e in b)) & seen:
-                raise ValueError("blocks overlap")
-            seen |= b | frozenset(-e for e in b)
-        if {abs(e) for e in seen} != ground:
-            raise ValueError("face does not cover the ground set")
-    else:
-        if len(view) != arr.d or any(s not in (-1, 0, 1) for s in view):
-            raise ValueError("invalid sign vector")
+def _listed(arr, blocks):
+    """The blocks as a flat string lists them: in type B each stands for
+    itself and its negative, however often either is listed; in type A each
+    is listed once."""
+    if arr.kind == KIND_B:
+        return {*blocks, *map(_neg, blocks)}
+    return sorted(map(sorted, blocks))

@@ -101,12 +101,10 @@ def gp_coproduct(p, s_labels):
 
 def euler_map_polytope(p):
     """[p]^* = sum over faces q of p of (-1)^{dim q} [q]."""
-    qs = {}
-    for face in arrg.faces(p.arr):
-        fs = p.face_set(face)
-        if fs not in qs:
-            qs[fs] = p.face_max(face)
-    return PiElement(p.arr, {q: (-1) ** q.dim for q in qs.values()})
+    return PiElement(p.arr, {
+        VPolytope(p.arr, [p.verts[i] for i in fs], assume_vertices=True): (-1) ** dim
+        for fs, dim in p.lattice().items()
+    })
 
 
 def euler_map(x):

@@ -6,7 +6,10 @@ exploits the deformation property: the normal fan of a deformation coarsens
 the arrangement fan, so argmax queries at chamber interior points extract
 vertices, and argmax at interior points of an arbitrary arrangement face F
 yields the face of the polytope attached to F, independently of the chosen
-interior point.
+interior point.  Polytope JSON is checked as it is read: a point that is no
+chamber's maximizer must lie in the hull of those that are.  The walls (the
+faces of dimension d-1) carry the rest: ``psi1`` reads the edge lengths
+there, and ``check_deformation`` is the wall-crossing test.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
@@ -112,17 +115,12 @@ class VPolytope:
 
     # -- faces ------------------------------------------------------------
 
-    def argmax_set(self, weight_vector):
-        """Indices of the vertices maximizing an integer direction."""
-        return frozenset(_argmax(self._ipts, weight_vector))
-
     def face_set(self, face):
         """Vertex-index set of the face of this polytope attached to an
-        arrangement face."""
+        arrangement face: the vertices maximizing its interior point."""
         fs = self._face_sets.get(face)
         if fs is None:
-            fs = self.argmax_set(arrg._interior(face))
-            self._face_sets[face] = fs
+            fs = self._face_sets[face] = frozenset(_argmax(self._ipts, arrg._interior(face)))
         return fs
 
     def face_max(self, face):
@@ -298,16 +296,26 @@ def _extract_vertices(arr, pts):
 
 
 def check_deformation(p):
-    """Debug check: the argmax vertex set at every arrangement face must not
-    depend on the choice of interior point."""
-    for face in arrg.faces(p.arr):
-        w0 = arrg._interior(face)
-        _, w1 = to_integers(arrg.interior_point(face, variant=1))
-        if p.argmax_set(w0) != p.argmax_set(w1):
-            raise NotDeformationError(
-                f"face maximizer at {arrg.face_str(face)} depends on the "
-                "interior point; not a deformation"
-            )
+    """The wall-crossing test (Postnikov-Reiner-Williams 2008; Ardila-
+    Castillo-Eur-Postnikov 2020): p is a deformation of the zonotope exactly
+    when one vertex maximizes at each chamber, each vertex at some chamber,
+    and the vertices of the two chambers on the sides of each wall differ
+    along the normal of the wall's hyperplane."""
+    top = {}
+    for ch in arrg.chambers(p.arr):
+        i, *more = p.face_set(ch)
+        if more:
+            raise NotDeformationError(f"several vertices maximize at the chamber {ch}")
+        top[ch] = p._ipts[i]
+    if len(set(top.values())) != len(p.verts):
+        raise NotDeformationError("a vertex maximizes at no chamber")
+    normals = hyperplane_normals(p.arr)
+    for wall in arrg.walls(p.arr):
+        bit = arrg.support(wall).zero  # the one hyperplane the wall lies in
+        a = top[arrg.Face(p.arr, wall.pos | bit, wall.neg)]
+        b = top[arrg.Face(p.arr, wall.pos, wall.neg | bit)]
+        if linalg.rank([[x - y for x, y in zip(a, b)], normals[bit.bit_length() - 1]]) > 1:
+            raise NotDeformationError(f"the vertices across the wall {wall} differ off its normal")
     return True
 
 
@@ -326,16 +334,9 @@ class ConeWeights(Combination):
         return arrg.face_terms_json(self.terms)
 
 
-def polytope_cone_weights(p, face_dims=None):
+def polytope_cone_weights(p):
     """Cone weights of the single class [p]."""
-    out = {}
-    for face in arrg.faces(p.arr):
-        if face_dims is not None and face.dim not in face_dims:
-            continue
-        w = p.cone_weight(face)
-        if w:
-            out[face] = w
-    return ConeWeights._make(p.arr, out)
+    return ConeWeights._make(p.arr, {f: w for f in arrg.faces(p.arr) if (w := p.cone_weight(f))})
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +389,9 @@ class PiElement(Combination):
             raise ValueError("acting element over a different arrangement")
         return PiElement.bilinear(self.arr, element.terms, self.terms, lambda f, p: p.face_max(f))
 
-    def phi(self, face_dims=None):
+    def phi(self):
         """Cone-weight coordinates of the class."""
-        return ConeWeights.linear(
-            self.arr, self.terms.items(), lambda p: polytope_cone_weights(p, face_dims).terms
-        )
+        return ConeWeights.linear(self.arr, self.terms.items(), lambda p: polytope_cone_weights(p).terms)
 
 
 def _point(arr):
@@ -621,10 +620,10 @@ def valuation_relation(p, form, c):
 def psi1(p):
     """Cone weights of log[p]: lattice edge lengths on complementary faces.
 
-    Equals phi(log_class(p)) restricted to faces of dimension d-1, which
-    are the cone weights of [p] there.
+    Equals phi(log_class(p)) restricted to the walls (the faces of
+    dimension d-1), which are the cone weights of [p] there.
     """
-    return polytope_cone_weights(p, {p.arr.d - 1})
+    return ConeWeights._make(p.arr, {f: w for f in arrg.walls(p.arr) if (w := p.cone_weight(f))})
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +639,32 @@ def polytope_to_json(p):
 
 def polytope_from_json(data):
     arr = arrg.arrangement_named(data["arrangement"], data["d"])
-    pts = [tuple(_json_coordinate(c) for c in row) for row in data["points"]]
-    return VPolytope(arr, pts)
+    pts = _dedup(tuple(_json_coordinate(c) for c in row) for row in data["points"])
+    p = VPolytope(arr, pts)
+    verts = set(p.verts)
+    rest = [x for x in pts if x not in verts]
+    if rest:  # a point that is no chamber's maximizer must lie in the hull of those that are
+        den, ints = _int_coords(rest)
+        for w in _outer_directions(arr):
+            top, x = max((sum(map(operator.mul, w, q)), x) for q, x in zip(ints, rest))
+            if all(sum(map(operator.mul, w, v)) * den < top * p._den for v in p._ipts):
+                raise ValueError(f"point {[str(c) for c in x]} lies outside the hull of the vertices")
+    return p
+
+
+@lru_cache(maxsize=None)
+def _outer_directions(arr):
+    """Directions w whose bounds <w, x> <= max <w, v> over the vertices v cut
+    out every deformation: the interior point of every ray of the fan (a face
+    whose support covers the bottom flat), and ± the vector of every block
+    of the bottom flat, whose coordinate sum is constant on a deformation."""
+    bottom = arrg.bottom_flat(arr)
+    covers = (x for x in arrg.flats(arr) if x.dim == bottom.dim + 1)
+    out = [arrg._interior(f) for x in covers for f in arrg.faces_with_support(arr, x)]
+    for block in arrg.flat_blocks(bottom)[1]:
+        ell = tuple((i in block) - (-i in block) for i in range(1, arr.d + 1))
+        out += [ell, tuple(-c for c in ell)]
+    return tuple(out)
 
 
 def _json_coordinate(c):

@@ -441,10 +441,9 @@ def b_generators(d):
 
 
 def _edge_weight_rows(arr, gens, gen_polys):
-    """(faces of dimension d-1, the factored matrix with one row per such
-    face and one column per generator: the generators' edge lengths at the
-    face)."""
-    face_order = [f for f in arrg.faces(arr) if f.dim == arr.d - 1]
+    """(the walls, the factored matrix with one row per wall and one column
+    per generator: the generators' edge lengths at the wall)."""
+    face_order = arrg.walls(arr)
     cols = [polyclass.psi1(gen_polys[g]).to_vector(face_order) for g in gens]
     return face_order, linalg.Factorization(zip(*cols))
 

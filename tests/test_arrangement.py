@@ -190,8 +190,7 @@ def test_interior_points():
 def test_interior_point_recovers_face():
     for arr in (braid(3), type_b(2), coordinate(3)):
         for f in faces(arr):
-            for variant in (0, 1):
-                assert face_of_point(arr, interior_point(f, variant)) == f
+            assert face_of_point(arr, interior_point(f)) == f
 
 
 @pytest.mark.parametrize("arr", [braid(4), type_b(3), coordinate(3)])
@@ -299,7 +298,7 @@ def test_enumerated_blocks_are_read_off_the_zero_sets(arr):
     xs = flats(arr)
     assert len({x.zero for x in xs}) == len(xs)
     for x in xs:
-        blocks = arrg._read_blocks(x)
+        blocks = arrg._read_blocks(arr, x.zero)
         assert blocks == arrg.flat_blocks(x)
         assert arrg.flat_of_blocks(arr, *blocks) is x
         assert len(blocks[1]) == x.dim
@@ -382,6 +381,7 @@ _ORDER_DIGESTS = {
     ("B", 2): ("67cee7eb2c3a3d33a59108f7d3c8532d23fe3e9e1c8178e9110141ba3728c109", "dc15079e1d70071ead26810a685d48eaeeddd6e4b094edeb63486d6469cf6e44"),
     ("B", 3): ("cb9257758918896e8d4ac2a0743153ef182f936c2cc9bdab6d28f89586e0057c", "538d83283f2dfa56b26eb07b0ba1b2fad7918fbea5679400ae3420d38ec5379e"),
     ("B", 4): ("b090d08db7f6a6b58544a9002310013a233109696a57ff9f16988c71ecd5c44e", "514db23915000656a94831930edc29f8fdae573f25aa92b37ed2504b6826e622"),
+    ("B", 5): ("14d96a32325607ab33dd35bdf012bcce09f3e587ff2378e754488c89dc41db03", "a6429577f653dc2842f4611934b87d45efe6dca325f8e9e42768b38a03214ae9"),
     ("C", 1): ("043a4b95b7b0b523d7865a1c6dd20dfb36afb60fb7690c5117852e0f3138957d", "6662da1d072a8349eaee2139e9df3a4bb15ab2cde4e6c58ce7c070cce8704fae"),
     ("C", 2): ("46fb9447efc46f8037073999c059caf4332d96abf3dc764eec88adab1318fde9", "944740868b215d55f6ffa820b129895ad00de9e81e72c48a36762abd5eedbf17"),
     ("C", 3): ("7c74725f6183329c9e50c6d31af86432a05bf1925729bb11976a1d7451def4b2", "ea4bfe6975c886d744aec2c01ad5a8ab606d3498d2b678d802668aef7500ca69"),
@@ -403,3 +403,20 @@ def test_flat_and_face_orders_are_pinned(kind, d):
         digest(map(flat_str, flats(arr))),
         digest(map(face_str, faces(arr))),
     ) == _ORDER_DIGESTS[kind, d]
+
+
+def test_b5_face_count():
+    # computed with the per-kind enumerator that building faces per flat replaced
+    assert len(faces(type_b(5))) == 24483
+
+
+_SCANNED = [braid(d) for d in range(1, 6)] + [type_b(d) for d in range(1, 5)] + [coordinate(d) for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("arr", _SCANNED, ids=str)
+def test_support_index_equals_the_filter_scans(arr):
+    fs = faces(arr)
+    for x in flats(arr):
+        assert arrg.faces_with_support(arr, x) == tuple(f for f in fs if support(f) == x)
+    assert arrg.chambers(arr) == tuple(f for f in fs if f.dim == arr.d)
+    assert arrg.walls(arr) == tuple(f for f in fs if f.dim == arr.d - 1)

@@ -551,3 +551,49 @@ def test_verify_all_quick_output_is_pinned():
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_QUICK_SHA256
+
+
+def test_verify_hopf_reports_each_n_once(capsys, monkeypatch):
+    from zonalg import hopfgp
+
+    calls = []
+    for name in ("hopf_axiom_check", "mc_coideal_check", "two_one_monoid_check"):
+        monkeypatch.setattr(hopfgp, name, lambda n, seed, name=name: calls.append((name, n)) or {"ok": True})
+    code, out, _ = run_cli(capsys, "verify", "hopf", "--d", "4")
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["results"]] == [2, 3, 4]
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 9
+
+
+def test_polytope_json_point_outside_the_vertices_exits_2(tmp_path, capsys):
+    # (3, 1, 0) and (0, 1, 3) are the chamber maximizers; (0, 0, 0) and
+    # (1, 1, 1) have another coordinate sum, so they lie off their hull
+    data = {"arrangement": "A", "d": 3, "points": [[0, 0, 0], [3, 1, 0], [0, 1, 3], [1, 1, 1]]}
+    code, out, err = _decompose_json(tmp_path, capsys, data)
+    assert code == 2 and out == ""
+    assert "point ['0', '0', '0'] lies outside" in err
+
+
+def test_polytope_json_keeps_points_inside_the_vertices(tmp_path, capsys):
+    from zonalg import polyclass
+
+    p = polyclass.permutahedron(3)
+    inside = [[str((a + b) / 2) for a, b in zip(p.verts[0], p.verts[1])], ["2", "2", "2"]]
+    data = dict(polyclass.polytope_to_json(p), points=polyclass.polytope_to_json(p)["points"] + inside)
+    code, out, _ = _decompose_json(tmp_path, capsys, data)
+    assert code == 0 and json.loads(out)["reconstructs"] is True
+
+
+@pytest.mark.parametrize(
+    "kind, point",
+    [("A", ["151/50", "149/100", "149/100"]), ("B", ["201/100", "0"])],  # x1 = 3 + 1/50, x1 = 2 + 1/100
+)
+def test_polytope_json_point_just_past_a_facet_exits_2(tmp_path, capsys, kind, point):
+    from zonalg import polyclass
+
+    # the permutahedron of A3 (of B2) has the facet x1 = 3 (x1 = 2)
+    p = polyclass.permutahedron(3) if kind == "A" else polyclass.typeB_permutahedron(2)
+    data = polyclass.polytope_to_json(p)
+    code, out, err = _decompose_json(tmp_path, capsys, dict(data, points=data["points"] + [point]), kind)
+    assert code == 2 and out == ""
+    assert f"point {point} lies outside" in err

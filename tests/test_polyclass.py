@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import pytest
@@ -382,10 +383,9 @@ def test_dilation_is_multiplicative():
 
 def test_psi1_matches_phi_of_log():
     for p in (permutahedron(3), typeB_permutahedron(2), cube(3), simplex0(type_b(3), {1, -2})):
-        d = p.arr.d
-        direct = psi1(p)
-        via_log = log_class(p).phi(face_dims={d - 1})
-        assert direct == via_log
+        walls = set(arrg.walls(p.arr))
+        via_log = {f: w for f, w in log_class(p).phi().terms.items() if f in walls}
+        assert psi1(p).terms == via_log
 
 
 def test_psi1_of_simplex0_singleton():
@@ -555,9 +555,106 @@ def test_act_matches_facewise_oracle(case):
 @pytest.mark.parametrize("classes", [_adams_classes, _gamma_classes], ids=["A3", "C3"])
 def test_phi_matches_termwise_oracle(classes):
     for x in classes():
-        for dims in (None, {1}, {0, 2}):
-            want = {}
-            for p, c in x.terms.items():
-                for face, w in polytope_cone_weights(p, dims).terms.items():
-                    want[face] = want.get(face, Fraction(0)) + w * c
-            assert x.phi(dims).terms == {f: w for f, w in want.items() if w}
+        want = {}
+        for p, c in x.terms.items():
+            for face, w in polytope_cone_weights(p).terms.items():
+                want[face] = want.get(face, Fraction(0)) + w * c
+        assert x.phi().terms == {f: w for f, w in want.items() if w}
+
+
+# ---------------------------------------------------------------------------
+# the wall-crossing test against the two-point sweep it replaced
+
+def _second_point(face):
+    """The second interior point of the sweep: block values squared (types
+    A and B) or the i-th sign times i + 1 (type C)."""
+    arr, view = face.arr, arrg._view(face)
+    if arr.kind == arrg.KIND_C:
+        return [s * (i + 2) for i, s in enumerate(view)]
+    blocks = view if arr.kind == arrg.KIND_A else view[0]
+    top = len(blocks) - (arr.kind == arrg.KIND_A)
+    x = [0] * arr.d
+    for i, block in enumerate(blocks):
+        for e in block:
+            x[abs(e) - 1] = (top - i) ** 2 * (1 if e > 0 else -1)
+    return x
+
+
+def _sweep(p):
+    """The old deformation check: the vertices maximizing at each face are
+    the same at its two interior points."""
+    from zonalg.polyclass import _argmax
+
+    return all(
+        set(_argmax(p._ipts, arrg._interior(f))) == set(_argmax(p._ipts, _second_point(f)))
+        for f in arrg.faces(p.arr)
+    )
+
+
+def _wall_test(p):
+    try:
+        return check_deformation(p)
+    except NotDeformationError:
+        return False
+
+
+def _diagonal_pieces():
+    """The three pieces of the hexagon cut along x1 = x2, as raw vertex lists:
+    ``slice_polytope`` rejects them."""
+    p = permutahedron(3)
+    val = {v: v[0] - v[1] for v in p.verts}
+    pieces = [[v for v in p.verts if val[v] <= 0], [v for v in p.verts if val[v] >= 0], []]
+    edges = [[p.verts[i] for i in sorted(fs)] for fs, dim in p.lattice().items() if dim == 1]
+    for a, b in edges:
+        if val[a] * val[b] < 0:  # the cut crosses this edge
+            cut = tuple(x + val[a] / (val[a] - val[b]) * (y - x) for x, y in zip(a, b))
+            for piece in pieces:
+                piece.append(cut)
+    return [VPolytope(p.arr, piece, assume_vertices=True) for piece in pieces]
+
+
+def _built_polytopes():
+    rng = random.Random(5)
+    a4, b3, c3 = braid(4), type_b(3), coordinate(3)
+    out = [permutahedron(d) for d in (2, 3, 4)] + [typeB_permutahedron(d) for d in (2, 3)]
+    out += [cube(d) for d in (1, 2, 3)] + [zonotope_of(a) for a in (braid(3), type_b(2), b3, c3)]
+    simplices = [simplex(a4, s) for k in (1, 2, 3, 4) for s in itertools.combinations(range(1, 5), k)]
+    b_gens = [simplex(b3, s) for s in ({1, -2}, {1, 2, -3})] + [simplex0(b3, s) for s in ({1}, {1, -2}, {2, 3})]
+    for pool in (simplices, b_gens):
+        out += pool
+        for _ in range(4):
+            acc = _pt(pool[0].arr)
+            for q in rng.sample(pool, 3):
+                acc = acc.minkowski(q.dilate(rng.choice((1, 2))))
+            out += [acc, acc.dilate(Fraction(3, 2))]
+    out += [p.face_max(f) for p in (permutahedron(3), typeB_permutahedron(2)) for f in arrg.faces(p.arr)]
+    for p, form, c in [
+        (cube(2), ("coord", 2), Fraction(1, 3)),
+        (permutahedron(3), ("coord", 1), Fraction(3, 2)),
+        (typeB_permutahedron(2), ("diff", 1, 2), Fraction(1, 2)),
+        (typeB_permutahedron(2), ("sum", 1, 2), Fraction(1, 2)),
+    ]:
+        out += slice_polytope(p, form, c)
+    return out + _diagonal_pieces()
+
+
+def test_wall_test_agrees_with_the_sweep():
+    built = _built_polytopes()
+    verdicts = [(_wall_test(p), _sweep(p)) for p in built]
+    assert all(wall == sweep for wall, sweep in verdicts)
+    assert [wall for wall, _ in verdicts[-3:]] == [False] * 3  # the diagonal pieces
+    assert sum(wall for wall, _ in verdicts) == len(built) - 3
+
+
+def test_wall_test_rejects_what_the_sweep_misses():
+    # Conv{0, e1}, which segment() rejects; a triangle whose edge from
+    # (2, 0) to (0, 1) splits the positive quadrant, so that only a wall
+    # crossing shows it; and the square with a fifth vertex (1/2, 11/10) that
+    # maximizes at no chamber
+    seg = VPolytope(braid(2), [(0, 0), (1, 0)], assume_vertices=True)
+    triangle = VPolytope(coordinate(2), [(0, 0), (2, 0), (0, 1)])
+    roof = VPolytope(coordinate(2), cube(2).verts + ((Fraction(1, 2), Fraction(11, 10)),), assume_vertices=True)
+    for p in (seg, triangle, roof):
+        assert _sweep(p)
+        with pytest.raises(NotDeformationError):
+            check_deformation(p)

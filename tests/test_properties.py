@@ -1,5 +1,6 @@
 """Property-based tests: face and flat strings round-trip at every d up to
-12, the covector Tits product, face order and support agree with their
+12, the parsers accept what the per-kind validators they replaced did, the
+covector Tits product, face order and support agree with their
 geometric oracles, the sparse combinations obey the laws of a rational
 vector space, and the products, the support map and the module action that
 the extension kernel builds obey the laws of the algebras."""
@@ -25,6 +26,7 @@ from zonalg.titsalgebra import FlatsElement, TitsElement
 
 _SETTINGS = settings(max_examples=150, deadline=None)
 _FEW = settings(max_examples=40, deadline=None)
+_MANY = settings(max_examples=200, deadline=None)
 
 
 @st.composite
@@ -65,6 +67,139 @@ def test_strings_from_d10_separate_every_element():
     assert arrg.parse_face(b10, arrg.face_str(bface)) == bface
     # up to d = 9 the digits still run together
     assert arrg.face_str(arrg.face_of_point(braid(9), (0,) * 8 + (1,))) == "9|12345678"
+
+
+# ---------------------------------------------------------------------------
+# parsing: reading a parse back accepts what the per-kind validators did
+
+def _old_parse_face(arr, text):
+    """The face parser with the validator it had before a parsed face was
+    checked by reading it back off its covector."""
+    text = text.strip()
+    if arr.kind == "A":
+        view = tuple(arrg._parse_block(tok, arr.d) for tok in text.split("|"))
+    elif arr.kind == "B":
+        zero, blocks, zero_seen = frozenset(), [], False
+        for tok in text.split("|"):
+            tok = tok.strip()
+            if tok.startswith("0:"):
+                zero, zero_seen = arrg._parse_block(tok[2:], arr.d), True
+            elif not zero_seen:
+                blocks.append(arrg._parse_block(tok, arr.d))
+        if not zero_seen:
+            if len(blocks) % 2:
+                raise ValueError(text)
+            blocks = blocks[: len(blocks) // 2]
+        view = (tuple(blocks), zero)
+    else:
+        signs = {"+": 1, "-": -1, "0": 0}
+        if any(c not in signs for c in text):
+            raise ValueError(text)
+        view = tuple(signs[c] for c in text)
+    _old_validate_view(arr, view)
+    return arrg._face_of_view(arr, view)
+
+
+def _old_validate_view(arr, view):
+    ground = set(range(1, arr.d + 1))
+    if arr.kind == "A":
+        seen = set()
+        for b in view:
+            if not b or b & seen:
+                raise ValueError(view)
+            seen |= b
+        if seen != ground:
+            raise ValueError(view)
+    elif arr.kind == "B":
+        blocks, zero = view
+        if zero != frozenset(-e for e in zero):
+            raise ValueError(view)
+        seen = set(zero)
+        for b in blocks:
+            if not b or b & frozenset(-e for e in b):
+                raise ValueError(view)
+            if (b | frozenset(-e for e in b)) & seen:
+                raise ValueError(view)
+            seen |= b | frozenset(-e for e in b)
+        if {abs(e) for e in seen} != ground:
+            raise ValueError(view)
+    elif len(view) != arr.d or any(s not in (-1, 0, 1) for s in view):
+        raise ValueError(view)
+
+
+def _old_parse_flat(arr, text):
+    """The flat parser with the validator it had before a parsed flat was
+    checked by reading it back off its zero set."""
+    text = text.strip()
+    if arr.kind == "C":
+        inner = text[2:] if text.startswith("X_") else text
+        zero = frozenset(int(t) for t in inner.strip("{}").replace(",", " ").split())
+        if not zero <= frozenset(range(1, arr.d + 1)):
+            raise ValueError(text)
+        return arrg.flat_of_blocks(arr, zero, ())
+    zero, blocks = frozenset(), []
+    for tok in text.strip("{}").split(","):
+        tok = tok.strip()
+        if arr.kind == "B" and tok.startswith("0:"):
+            zero = arrg._parse_block(tok[2:], arr.d)
+        elif tok:
+            blocks.append(arrg._parse_block(tok, arr.d))
+    neg = arrg._neg
+    ground = frozenset(range(1, arr.d + 1))
+    if arr.kind == "B":
+        ground |= neg(ground)
+        if zero != neg(zero) or any(b & neg(b) for b in blocks):
+            raise ValueError(text)
+        blocks = list({*blocks, *map(neg, blocks)}) + ([zero] if zero else [])
+    covered = frozenset().union(*blocks)
+    if not all(blocks) or sum(map(len, blocks)) != len(covered) or covered != ground:
+        raise ValueError(text)
+    return arrg.flat_of_blocks(arr, zero, blocks)
+
+
+def _outcome(parse, arr, text):
+    try:
+        return parse(arr, text)
+    except ValueError:
+        return None
+
+
+_FACE_TOKENS = ("1", "2", "3", "4", "0", "10", "-", " ", "|", "0:", "+", "0+")
+_FLAT_TOKENS = ("1", "2", "3", "4", "0", "10", "-", " ", ",", "0:", "{", "}", "X_")
+
+
+@st.composite
+def _texts(draw, kind, tokens, printed):
+    """(arrangement, text): a string of grammar tokens, or the printed form
+    of a face or flat with up to three edits, each inserting a token or a
+    piece of the text (so that blocks repeat) and maybe dropping a
+    character."""
+    arr = Arrangement(kind, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        return arr, "".join(draw(st.lists(st.sampled_from(tokens), max_size=14)))
+    text = printed(arrg.face_of_point(arr, draw(_points(arr.d))))
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(text))), draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(("", text[min(i, j):max(i, j)]) + tokens))
+        text = text[:i] + piece + text[i + draw(st.integers(0, 1)):]
+    return arr, text
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_MANY
+@given(data=st.data())
+def test_parse_face_accepts_what_the_validator_did(kind, data):
+    arr, text = data.draw(_texts(kind, _FACE_TOKENS, arrg.face_str))
+    assert _outcome(arrg.parse_face, arr, text) is _outcome(_old_parse_face, arr, text)
+
+
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_MANY
+@given(data=st.data())
+def test_parse_flat_accepts_what_the_validator_did(kind, data):
+    printed = lambda f: arrg.flat_str(arrg.support(f))  # noqa: E731
+    arr, text = data.draw(_texts(kind, _FLAT_TOKENS, printed))
+    assert _outcome(arrg.parse_flat, arr, text) is _outcome(_old_parse_flat, arr, text)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +244,7 @@ def test_support_of_product_is_join(kind, data):
 @given(data=st.data())
 def test_face_of_interior_point(kind, data):
     f, _ = _face_pair(data, kind)
-    for variant in (0, 1):
-        assert arrg.face_of_point(f.arr, arrg.interior_point(f, variant)) is f
+    assert arrg.face_of_point(f.arr, arrg.interior_point(f)) is f
 
 
 # ---------------------------------------------------------------------------
