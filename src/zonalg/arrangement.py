@@ -33,8 +33,8 @@ read off them, and so are the faces: those with support X are the
 orderings (types A and B) and signings (types B and C) of the pair blocks
 of X.  They are built once per flat, into the one index that ``faces``,
 ``chambers``, ``walls`` and ``faces_with_support`` read.  A face or flat
-string is accepted exactly when the face read back off its covector, or the
-flat read back off its zero set, has the parsed blocks.
+string is read only in the form that ``face_str`` or ``flat_str`` prints: a
+text is accepted exactly when the face or flat it names prints back as it.
 
 All values are immutable; every function is pure.
 """
@@ -681,76 +681,60 @@ def face_terms_json(terms):
     ]
 
 
-def _parse_block(token, d):
-    """A block of space-separated integers.  Up to d = 9 a token without
-    spaces or signs may also run single digits together, e.g. "67"; from
-    d = 10 on it is one integer."""
-    parts = token.split()
-    if d <= 9 and len(parts) == 1 and "-" not in token:
-        return frozenset(int(ch) for ch in parts[0])
-    return frozenset(int(t) for t in parts)
+def _parse_block(token, arr):
+    """A block as it is printed: single digits run together in type A up to
+    d = 9, else integers separated by spaces.  A type-B zero block "0:..."
+    also holds 0, which marks it."""
+    if arr.kind == KIND_B and token.startswith("0:"):
+        return _parse_block(token[2:], arr) | {0}
+    if arr.kind == KIND_A and arr.d <= 9:
+        return frozenset(map(int, token))
+    return frozenset(map(int, token.split(" "))) if token else frozenset()
+
+
+def _read_printed(arr, text, what, read, show):
+    """The face or flat that ``read`` finds listed in ``text``, if ``show``
+    prints it back as ``text``.  A text that lists the same blocks in
+    another order or spelling is told the printed form."""
+    try:
+        listed, obj = read(arr, text)
+        printed = show(obj)
+    except (ValueError, KeyError, IndexError):
+        printed = None
+    if printed == text:
+        return obj
+    hint = f"; write it {printed}" if printed and read(arr, printed)[0] == listed else ""
+    raise ValueError(f"{what} {text!r} is not a {what} of {arr.kind}{arr.d} as printed{hint}")
+
+
+def _face_of_text(arr, text):
+    """The signs (type C) or the blocks that a face string lists, in order,
+    and the face of the point they give."""
+    if arr.kind == KIND_C:
+        listed = [{"+": 1, "-": -1, "0": 0}[c] for c in text]
+    else:
+        listed = [_parse_block(t, arr) for t in text.split("|")]
+    view = tuple(listed)
+    if arr.kind == KIND_B:  # the blocks before the zero block fix the point
+        view = view[: [0 in b for b in listed].index(True)], None
+    return listed, face_of_point(arr, _point(arr, view))
 
 
 def parse_face(arr, text):
-    text = text.strip()
-    if arr.kind == KIND_A:
-        view = tuple(_parse_block(tok, arr.d) for tok in text.split("|"))
-    elif arr.kind == KIND_B:
-        zero, blocks = None, []
-        for tok in text.split("|"):
-            tok = tok.strip()
-            if tok.startswith("0:"):
-                zero = _parse_block(tok[2:], arr.d)
-            elif zero is None:
-                blocks.append(_parse_block(tok, arr.d))
-        if zero is None:
-            # no explicit zero block: the listed blocks are symmetric halves
-            if len(blocks) % 2:
-                raise ValueError(f"cannot parse type-B face {text!r}")
-            blocks, zero = blocks[: len(blocks) // 2], frozenset()
-        view = (tuple(blocks), zero)
-    else:
-        signs = {"+": 1, "-": -1, "0": 0}
-        if any(c not in signs for c in text):
-            raise ValueError(f"invalid sign vector {text!r}")
-        view = tuple(signs[c] for c in text)
-    # a valid view gives a point of its face, and the face gives it back
-    try:
-        face = face_of_point(arr, _point(arr, view))
-    except IndexError:  # an element past d
-        face = None
-    if face is None or _view(face) != view:
-        raise ValueError(f"face {text!r} is not a face of {arr.kind}{arr.d}")
-    return face
+    """The face that ``face_str`` prints as ``text``."""
+    return _read_printed(arr, text, "face", _face_of_text, face_str)
+
+
+def _flat_of_text(arr, text):
+    """The blocks that a flat string lists between its braces, sorted, and
+    the flat on which the elements of each are equal (and, in type C, 0);
+    the flat reads its blocks back off its zero set."""
+    inner = (text.removeprefix("X_") if arr.kind == KIND_C else text)[1:-1]
+    listed = sorted(sorted(_parse_block(t, arr)) for t in inner.split(","))
+    groups = [(0, *b) for b in listed] if arr.kind == KIND_C else listed
+    return listed, Flat(arr, _zero_set(arr, *_classes(arr, groups)))
 
 
 def parse_flat(arr, text):
-    text = text.strip()
-    if arr.kind == KIND_C:
-        inner = text[2:] if text.startswith("X_") else text
-        zero = frozenset(int(t) for t in inner.strip("{}").replace(",", " ").split())
-        if not zero <= frozenset(range(1, arr.d + 1)):
-            raise ValueError(f"flat {text!r} is not a subset of [{arr.d}]")
-        return flat_of_blocks(arr, zero, ())
-    zero = frozenset()
-    blocks = []
-    for tok in text.strip("{}").split(","):
-        tok = tok.strip()
-        if arr.kind == KIND_B and tok.startswith("0:"):
-            zero = _parse_block(tok[2:], arr.d)
-        elif tok:
-            blocks.append(_parse_block(tok, arr.d))
-    # valid blocks give the zero set of their flat, and it gives them back
-    read_zero, read = _read_blocks(arr, _zero_set(arr, zero, blocks))
-    if zero != read_zero or _listed(arr, blocks) != _listed(arr, read):
-        raise ValueError(f"flat {text!r} is not a partition of the ground set of {arr.kind}{arr.d}")
-    return _flat_of_classes(arr, read_zero, read)
-
-
-def _listed(arr, blocks):
-    """The blocks as a flat string lists them: in type B each stands for
-    itself and its negative, however often either is listed; in type A each
-    is listed once."""
-    if arr.kind == KIND_B:
-        return {*blocks, *map(_neg, blocks)}
-    return sorted(map(sorted, blocks))
+    """The flat that ``flat_str`` prints as ``text``."""
+    return _read_printed(arr, text, "flat", _flat_of_text, flat_str)

@@ -115,7 +115,7 @@ def verify_cube(dmax=5, rank_dmax=spectra.RANK_BOUND):
     return _report("cube", results)
 
 
-def verify_gf(order_a=None, order_b=None):
+def verify_gf(order_a=8, order_b=6):
     return _report("gf", gfseries.verify_identities(order_a, order_b))
 
 
@@ -291,6 +291,7 @@ def _cmd_eta(args):
     bound = ETA_BOUNDS[arr.kind]
     if args.d > bound:
         raise ValueError(f"d={args.d} exceeds the bound {bound} for eta tables")
+    flat_filter = arrg.parse_flat(arr, args.flat) if args.flat else None
     tables = [spectra.eta_mobius(arr)]
     if arr.kind in (arrg.KIND_A, arrg.KIND_B):
         tables.append(spectra.eta_permutations(arr))
@@ -300,7 +301,6 @@ def _cmd_eta(args):
         tables.append(spectra.eta_gamma_rank(args.d))
     agree = all(t.same_values(tables[0]) for t in tables[1:])
     rows = []
-    flat_filter = arrg.parse_flat(arr, args.flat) if args.flat else None
     for (x, r), v in tables[0].entries.items():
         if flat_filter is not None and x != flat_filter:
             continue
@@ -412,8 +412,8 @@ def build_parser():
     ver.add_argument("suite", choices=sorted(_VERIFY))
     ver.add_argument("--d", type=int, help="largest size to check")
     ver.add_argument("--type", help="A | B | all (brenti)")
-    ver.add_argument("--order", type=int, help="series truncation order (type A)")
-    ver.add_argument("--order-b", dest="order_b", type=int, help="series order (type B)")
+    ver.add_argument("--order", type=int, default=8, help="series truncation order (type A)")
+    ver.add_argument("--order-b", dest="order_b", type=int, default=6, help="series order (type B)")
     ver.add_argument("--trials", type=int, default=10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--quick", action="store_true", help="CI bounds for 'all'")

@@ -434,7 +434,7 @@ def _first_mismatch(rows):
     return None
 
 
-def verify_identities(order_a=None, order_b=None):
+def verify_identities(order_a=8, order_b=6):
     """Check every generating-function identity; returns a list of records.
 
     Left-hand sides come from exhaustive enumeration or Möbius-partition
@@ -443,10 +443,6 @@ def verify_identities(order_a=None, order_b=None):
     coefficient polynomials in t.  Each identity is a stream of rows
     ``(where, lhs, rhs)``; its record names the first row that differs.
     """
-    if order_a is None:
-        order_a = permstat.env_int("ZONALG_SERIES_ORDER_A", 8)
-    if order_b is None:
-        order_b = permstat.env_int("ZONALG_SERIES_ORDER_B", 6)
     A = eulerian_gf_A(order_a)
     B = eulerian_gf_B(order_b)
     Ab = eulerian_gf_A(order_b)

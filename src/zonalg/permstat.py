@@ -17,21 +17,6 @@ from dataclasses import dataclass
 from .arrangement import braid, flat_of_blocks, type_b
 
 
-def env_int(name, default):
-    """A non-negative integer setting from the environment, read when it is
-    used; a value that is not one raises ValueError naming the variable."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}") from None
-    return value
-
-
 class BoundExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the configured bound."""
 
@@ -303,9 +288,17 @@ _BOUNDS = {"S": ("ZONALG_MAX_SYMMETRIC", 8), "B": ("ZONALG_MAX_HYPEROCTAHEDRAL",
 
 def _check_bound(group, d):
     """Raise BoundExceededError when S_d or B_d (``group`` "S" or "B") is past
-    the bound its ZONALG_MAX_* variable sets."""
-    name, default = _BOUNDS[group]
-    bound = env_int(name, default)
+    the bound its ZONALG_MAX_* variable sets, read when it is used; a value
+    that is no non-negative integer raises ValueError naming the variable."""
+    name, bound = _BOUNDS[group]
+    raw = os.environ.get(name)
+    if raw is not None:
+        try:
+            bound = int(raw)
+            if bound < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{name} must be a non-negative integer, got {raw!r}") from None
     if d > bound:
         raise BoundExceededError(f"{group}_{d} exceeds the bound {bound}")
 

@@ -6,10 +6,10 @@ exploits the deformation property: the normal fan of a deformation coarsens
 the arrangement fan, so argmax queries at chamber interior points extract
 vertices, and argmax at interior points of an arbitrary arrangement face F
 yields the face of the polytope attached to F, independently of the chosen
-interior point.  Polytope JSON is checked as it is read: a point that is no
-chamber's maximizer must lie in the hull of those that are.  The walls (the
-faces of dimension d-1) carry the rest: ``psi1`` reads the edge lengths
-there, and ``check_deformation`` is the wall-crossing test.
+interior point.  Points become a polytope only through ``VPolytope``: one
+point maximizes at each chamber, these pass the wall-crossing test on the
+walls (the faces of dimension d-1), and every other point lies in their
+hull.  ``psi1`` reads the edge lengths on the walls.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
@@ -70,7 +70,7 @@ class VPolytope:
         if assume_vertices:
             verts = tuple(sorted(pts))
         else:
-            verts = _extract_vertices(arr, pts)
+            verts = _deformation_vertices(arr, pts)
         key = (arr, verts)
         self = _INTERN.get(key)
         if self is None:
@@ -237,12 +237,14 @@ class VPolytope:
     def minkowski(self, other):
         if self.arr != other.arr:
             raise ValueError("polytopes over different arrangements")
-        pts = [
+        pts = _dedup(
             tuple(a + b for a, b in zip(v, w))
             for v in self.verts
             for w in other.verts
-        ]
-        return VPolytope(self.arr, pts)
+        )
+        # a sum of deformations is one: the chamber sweep alone picks its vertices
+        at = _chamber_sweep(self.arr, _int_coords(pts)[1])
+        return VPolytope(self.arr, [pts[i] for i in set(at)], assume_vertices=True)
 
     def dilate(self, lam):
         lam = Fraction(lam)
@@ -281,41 +283,64 @@ def _argmax(ipts, w):
     return [i for i, v in enumerate(vals) if v == best]
 
 
-def _extract_vertices(arr, pts):
+def _chamber_sweep(arr, ipts):
+    """The index of the integer point that maximizes at each chamber, in
+    the order of ``_chamber_vectors``; a tie names its chamber."""
+    at = []
+    for c, w in enumerate(_chamber_vectors(arr)):
+        i, *more = _argmax(ipts, w)
+        if more:
+            raise NotDeformationError(f"several points maximize at the chamber {arrg.chambers(arr)[c]}")
+        at.append(i)
+    return at
+
+
+@lru_cache(maxsize=None)
+def _wall_table(arr):
+    """For every wall: the wall, the indices (as in ``_chamber_vectors``) of
+    the chambers on the positive and the negative side of its hyperplane
+    x_a = x_b, the hyperplane's normal n, and a - 1, where n is 1."""
+    index = {ch: c for c, ch in enumerate(arrg.chambers(arr))}
+    normals = hyperplane_normals(arr)
+    out = []
+    for wall in arrg.walls(arr):
+        bit = arrg.support(wall).zero  # the one hyperplane the wall lies in
+        n = normals[bit.bit_length() - 1]
+        plus, minus = arrg.Face(arr, wall.pos | bit, wall.neg), arrg.Face(arr, wall.pos, wall.neg | bit)
+        out.append((wall, index[plus], index[minus], n, n.index(1)))
+    return tuple(out)
+
+
+def _deformation_vertices(arr, pts):
+    """The vertices of the hull of ``pts``, which must be a deformation of
+    the zonotope: one point maximizes at each chamber; these pass the wall-
+    crossing test (Postnikov-Reiner-Williams 2008; Ardila-Castillo-Eur-
+    Postnikov 2020); and every other point lies in their hull, or else it
+    would be a vertex that maximizes at no chamber."""
     _, ipts = _int_coords(pts)
-    chosen = set()
-    for w in _chamber_vectors(arr):
-        best_idx = _argmax(ipts, w)
-        if len(best_idx) > 1:
-            raise NotDeformationError(
-                "multiple maximizers at a chamber interior point; the hull is "
-                "not a deformation of the ambient zonotope"
-            )
-        chosen.add(best_idx[0])
+    at = _chamber_sweep(arr, ipts)
+    for wall, plus, minus, normal, a in _wall_table(arr):
+        if at[plus] != at[minus]:
+            # the points on the two sides differ along n: as n_a = 1, by diff_a n
+            diff = list(map(operator.sub, ipts[at[plus]], ipts[at[minus]]))
+            if diff != [diff[a] * n for n in normal]:
+                raise NotDeformationError(f"the vertices across the wall {wall} differ off its normal")
+    chosen = set(at)
+    rest = [i for i in range(len(pts)) if i not in chosen]
+    for w in _outer_directions(arr) if rest else ():
+        top, i = max((sum(map(operator.mul, w, ipts[r])), r) for r in rest)
+        if all(sum(map(operator.mul, w, ipts[j])) < top for j in chosen):
+            raise NotDeformationError(f"point {[str(c) for c in pts[i]]} lies outside the hull of the vertices")
     return tuple(sorted(pts[i] for i in chosen))
 
 
 def check_deformation(p):
-    """The wall-crossing test (Postnikov-Reiner-Williams 2008; Ardila-
-    Castillo-Eur-Postnikov 2020): p is a deformation of the zonotope exactly
-    when one vertex maximizes at each chamber, each vertex at some chamber,
-    and the vertices of the two chambers on the sides of each wall differ
-    along the normal of the wall's hyperplane."""
-    top = {}
-    for ch in arrg.chambers(p.arr):
-        i, *more = p.face_set(ch)
-        if more:
-            raise NotDeformationError(f"several vertices maximize at the chamber {ch}")
-        top[ch] = p._ipts[i]
-    if len(set(top.values())) != len(p.verts):
-        raise NotDeformationError("a vertex maximizes at no chamber")
-    normals = hyperplane_normals(p.arr)
-    for wall in arrg.walls(p.arr):
-        bit = arrg.support(wall).zero  # the one hyperplane the wall lies in
-        a = top[arrg.Face(p.arr, wall.pos | bit, wall.neg)]
-        b = top[arrg.Face(p.arr, wall.pos, wall.neg | bit)]
-        if linalg.rank([[x - y for x, y in zip(a, b)], normals[bit.bit_length() - 1]]) > 1:
-            raise NotDeformationError(f"the vertices across the wall {wall} differ off its normal")
+    """The tests that ``VPolytope`` runs on raw points, for a polytope built
+    with ``assume_vertices``, each of whose vertices must also maximize at
+    some chamber."""
+    idle = sorted(set(p.verts) - set(_deformation_vertices(p.arr, p.verts)))
+    if idle:
+        raise NotDeformationError(f"the vertex {[str(c) for c in idle[0]]} maximizes at no chamber")
     return True
 
 
@@ -525,11 +550,10 @@ def segment(arr, v):
 
 
 def hyperplane_normals(arr):
-    """The normal e_a - e_b of each hyperplane x_a = x_b of
+    """The integer normal e_a - e_b of each hyperplane x_a = x_b of
     ``arrg.hyperplanes``, with e_{-i} = -e_i and e_0 = 0."""
-    zero = (Fraction(0),) * arr.d
     return [
-        tuple(p - q for p, q in zip(_unit(arr, a) if a else zero, _unit(arr, b) if b else zero))
+        tuple((a == i) - (a == -i) - (b == i) + (b == -i) for i in range(1, arr.d + 1))
         for a, b in arrg.hyperplanes(arr)
     ]
 
@@ -573,7 +597,7 @@ def slice_polytope(p, form, c):
     """Cut a deformation along a hyperplane; returns (lower, upper, section).
 
     The value c must lie strictly between the minimum and maximum of the form
-    over the polytope.  Each piece passes ``check_deformation``: cuts that
+    over the polytope.  Each piece is built from its points, so cuts that
     break the deformation property (which can happen for difference forms in
     dimension >= 3) are rejected.
     """
@@ -600,10 +624,7 @@ def slice_polytope(p, form, c):
             lower.append(cut)
             upper.append(cut)
             section.append(cut)
-    pieces = VPolytope(arr, lower), VPolytope(arr, upper), VPolytope(arr, section)
-    for piece in pieces:
-        check_deformation(piece)
-    return pieces
+    return VPolytope(arr, lower), VPolytope(arr, upper), VPolytope(arr, section)
 
 
 def valuation_relation(p, form, c):
@@ -639,17 +660,7 @@ def polytope_to_json(p):
 
 def polytope_from_json(data):
     arr = arrg.arrangement_named(data["arrangement"], data["d"])
-    pts = _dedup(tuple(_json_coordinate(c) for c in row) for row in data["points"])
-    p = VPolytope(arr, pts)
-    verts = set(p.verts)
-    rest = [x for x in pts if x not in verts]
-    if rest:  # a point that is no chamber's maximizer must lie in the hull of those that are
-        den, ints = _int_coords(rest)
-        for w in _outer_directions(arr):
-            top, x = max((sum(map(operator.mul, w, q)), x) for q, x in zip(ints, rest))
-            if all(sum(map(operator.mul, w, v)) * den < top * p._den for v in p._ipts):
-                raise ValueError(f"point {[str(c) for c in x]} lies outside the hull of the vertices")
-    return p
+    return VPolytope(arr, [tuple(_json_coordinate(c) for c in row) for row in data["points"]])
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from zonalg import arrangement as arrg
@@ -128,7 +130,7 @@ def test_support_examples():
     f = parse_face(a8, "13|4|2568|7")
     assert support(f) == parse_flat(a8, "{13,2568,4,7}")
     b7 = type_b(7)
-    g = parse_face(b7, "67|-2 4 -5|0:1 -1 3 -3|2 -4 5|-6 -7")
+    g = parse_face(b7, "6 7|-2 4 -5|0:1 -1 3 -3|2 -4 5|-6 -7")
     assert flat_str(support(g)) == "{0:1 -1 3 -3,2 -4 5,-2 4 -5,6 7,-6 -7}"
     for arr in (braid(3), type_b(2), coordinate(2)):
         assert support(central_face(arr)) == bottom_flat(arr)
@@ -235,6 +237,56 @@ def test_parse_rejects_bad_faces():
     for text in ("+x-", "+ -", "+-"):
         with pytest.raises(ValueError):
             parse_face(coordinate(3), text)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [braid(d) for d in range(1, 7)] + [type_b(d) for d in range(1, 5)] + [coordinate(d) for d in range(1, 7)],
+    ids=str,
+)
+def test_every_printed_face_and_flat_reads_back(arr):
+    for f in faces(arr):
+        assert parse_face(arr, face_str(f)) is f
+    for x in flats(arr):
+        assert parse_flat(arr, flat_str(x)) is x
+
+
+@pytest.mark.parametrize(
+    "arr, text",
+    [
+        (type_b(2), "2|1|5|7"),  # the blocks after the zero block are read too
+        (type_b(2), "2|1|0:|-1|-2|"),
+        (type_b(2), "2|1|-1|-2"),  # no zero block
+        (braid(3), "1 3|2"),  # up to d = 9 the digits run together
+        (braid(3), " 13|2"),
+        (coordinate(2), "+-\n"),
+    ],
+)
+def test_parse_face_reads_only_the_printed_form(arr, text):
+    with pytest.raises(ValueError, match="is not a face of .* as printed$"):
+        parse_face(arr, text)
+
+
+@pytest.mark.parametrize(
+    "arr, text, printed",
+    [
+        (braid(3), "{3,12}", "{12,3}"),
+        (braid(3), "{21,3}", "{12,3}"),
+        (type_b(2), "{-1,1,0:2 -2}", "{0:2 -2,1,-1}"),
+        (coordinate(3), "X_{3,1}", "X_{1,3}"),
+        (coordinate(3), "{1,3}", "X_{1,3}"),
+    ],
+)
+def test_parse_flat_names_the_printed_form_of_another_spelling(arr, text, printed):
+    with pytest.raises(ValueError, match=f"; write it {re.escape(printed)}$"):
+        parse_flat(arr, text)
+
+
+def test_parse_face_names_the_printed_form_of_another_spelling():
+    with pytest.raises(ValueError, match=re.escape("; write it 13|2")):
+        parse_face(braid(3), "31|2")
+    with pytest.raises(ValueError, match=re.escape("; write it 2|0:1 -1|-2")):
+        parse_face(type_b(2), "2|0:-1 1|-2")
 
 
 @pytest.mark.parametrize("arr", [braid(3), type_b(2), coordinate(3)])

@@ -175,8 +175,6 @@ def test_verify_b_gens_deterministic(capsys):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("ZONALG_SERIES_ORDER_A", ("verify", "gf")),
-        ("ZONALG_SERIES_ORDER_B", ("verify", "gf")),
         ("ZONALG_MAX_SYMMETRIC", ("stats", "--group", "S", "--d", "3")),
         ("ZONALG_MAX_HYPEROCTAHEDRAL", ("stats", "--group", "B", "--d", "2")),
     ],
@@ -192,16 +190,16 @@ def test_bad_env_value_exits_2(capsys, monkeypatch, name, argv):
 
 def test_bad_env_value_does_not_break_import():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, ZONALG_SERIES_ORDER_A="abc", PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, ZONALG_MAX_SYMMETRIC="abc", PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "zonalg", "verify", "gf"],
+        [sys.executable, "-m", "zonalg", "stats", "--group", "S", "--d", "3"],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 2
-    assert "ZONALG_SERIES_ORDER_A" in proc.stderr
+    assert "ZONALG_MAX_SYMMETRIC" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -597,3 +595,18 @@ def test_polytope_json_point_just_past_a_facet_exits_2(tmp_path, capsys, kind, p
     code, out, err = _decompose_json(tmp_path, capsys, dict(data, points=data["points"] + [point]), kind)
     assert code == 2 and out == ""
     assert f"point {point} lies outside" in err
+
+
+def test_decompose_names_the_wall_a_non_deformation_fails(tmp_path, capsys):
+    # every chamber has one maximizer, but the vertices across the wall 13|2
+    # do not differ along e1 - e3
+    data = {"arrangement": "A", "d": 3, "points": [[0, 0, 0], [3, -1, -2], [-1, 3, -2]]}
+    code, out, err = _decompose_json(tmp_path, capsys, data)
+    assert code == 2 and out == ""
+    assert "the vertices across the wall 13|2 differ off its normal" in err
+
+
+def test_flat_in_another_spelling_exits_2_with_the_printed_form(capsys):
+    code, out, err = run_cli(capsys, "eta", "--type", "A", "--d", "3", "--flat", "{3,12}")
+    assert code == 2 and out == ""
+    assert "; write it {12,3}" in err

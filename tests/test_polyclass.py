@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import pytest
 from fractions import Fraction
 
@@ -652,9 +653,96 @@ def test_wall_test_rejects_what_the_sweep_misses():
     # crossing shows it; and the square with a fifth vertex (1/2, 11/10) that
     # maximizes at no chamber
     seg = VPolytope(braid(2), [(0, 0), (1, 0)], assume_vertices=True)
-    triangle = VPolytope(coordinate(2), [(0, 0), (2, 0), (0, 1)])
+    with pytest.raises(NotDeformationError, match="wall"):
+        VPolytope(coordinate(2), [(0, 0), (2, 0), (0, 1)])
+    triangle = VPolytope(coordinate(2), [(0, 0), (2, 0), (0, 1)], assume_vertices=True)
     roof = VPolytope(coordinate(2), cube(2).verts + ((Fraction(1, 2), Fraction(11, 10)),), assume_vertices=True)
     for p in (seg, triangle, roof):
         assert _sweep(p)
         with pytest.raises(NotDeformationError):
             check_deformation(p)
+
+
+def _old_check(p):
+    """The deformation check as it was before it read the chamber sweep: an
+    argmax at every chamber and a rank per wall.  A pattern for the message
+    of its first failure (at a chamber, a vertex or a wall), or None."""
+    from zonalg import linalg
+
+    top = {}
+    for ch in arrg.chambers(p.arr):
+        i, *more = p.face_set(ch)
+        if more:
+            return re.escape(f"chamber {ch}")
+        top[ch] = p._ipts[i]
+    if len(set(top.values())) != len(p.verts):
+        return "maximizes at no chamber|lies outside the hull"
+    normals = hyperplane_normals(p.arr)
+    for wall in arrg.walls(p.arr):
+        bit = arrg.support(wall).zero
+        a = top[arrg.Face(p.arr, wall.pos | bit, wall.neg)]
+        b = top[arrg.Face(p.arr, wall.pos, wall.neg | bit)]
+        if linalg.rank([[x - y for x, y in zip(a, b)], normals[bit.bit_length() - 1]]) > 1:
+            return re.escape(f"wall {wall} ")
+    return None
+
+
+def test_wall_test_agrees_with_the_sweep_and_rank_check():
+    built = _built_polytopes()
+    failures = 0
+    for p in built:
+        want = _old_check(p)
+        try:
+            check_deformation(p)
+        except NotDeformationError as exc:
+            assert want is not None and re.search(want, str(exc))
+            failures += 1
+        else:
+            assert want is None
+    assert failures == 3  # the diagonal pieces
+
+
+# a triangle in A3 whose chamber maximizers are unique but no deformation,
+# and a segment of the cube that is no root direction
+_A3_TRIANGLE = [(0, 0, 0), (3, -1, -2), (-1, 3, -2)]
+
+
+@pytest.mark.parametrize(
+    "arr, points, wall",
+    [(braid(3), _A3_TRIANGLE, "13|2"), (coordinate(3), [(0, 0, 0), (0, 2, 1)], "-0-")],
+    ids=["A3-triangle", "C3-segment"],
+)
+def test_points_become_a_polytope_only_through_the_wall_test(arr, points, wall):
+    with pytest.raises(NotDeformationError, match=f"wall {re.escape(wall)} "):
+        VPolytope(arr, points)
+    with pytest.raises(NotDeformationError, match=f"wall {re.escape(wall)} "):
+        polytope_from_json({"arrangement": arr.kind, "d": arr.d, "points": [list(v) for v in points]})
+    with pytest.raises(NotDeformationError, match=f"wall {re.escape(wall)} "):
+        check_deformation(VPolytope(arr, points, assume_vertices=True))
+
+
+def test_segment_off_the_roots_of_the_cube_is_rejected():
+    with pytest.raises(NotDeformationError, match="wall -0- "):
+        segment(coordinate(3), (0, 2, 1))
+
+
+def test_points_outside_the_hull_are_rejected():
+    # the midpoint of two vertices of the hexagon lies inside it; (1, 1, 1)
+    # lies off its plane and maximizes at no chamber
+    p = permutahedron(3)
+    mid = tuple((a + b) / 2 for a, b in zip(p.verts[0], p.verts[1]))
+    assert VPolytope(p.arr, p.verts + (mid,)) is p
+    with pytest.raises(ValueError, match=r"point \['1', '1', '1'\] lies outside"):
+        VPolytope(p.arr, p.verts + ((1, 1, 1),))
+
+
+def test_ties_and_idle_vertices_are_named():
+    with pytest.raises(NotDeformationError, match=re.escape("maximize at the chamber 1|2")):
+        VPolytope(braid(2), [(1, 0), (1, 5)])
+    square = cube(2).verts
+    centred = VPolytope(coordinate(2), square + ((Fraction(1, 2), Fraction(1, 2)),), assume_vertices=True)
+    with pytest.raises(NotDeformationError, match=re.escape("vertex ['1/2', '1/2'] maximizes at no chamber")):
+        check_deformation(centred)
+    roof = VPolytope(coordinate(2), square + ((Fraction(1, 2), Fraction(11, 10)),), assume_vertices=True)
+    with pytest.raises(NotDeformationError, match=re.escape("point ['1/2', '11/10'] lies outside the hull")):
+        check_deformation(roof)
