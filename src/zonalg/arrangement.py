@@ -18,7 +18,8 @@ its faces, one int bitmask.  So the Tits product, the face order, the face
 of a point, the support map and the flat order and join read only the list
 and the masks.  The kind shows only in the hyperplane list, the flat and
 face rules, the strings and the block view of a face (``_view``), which is
-shaped like this:
+shaped like this (``interior_point``, an integer point inside the face, is
+read off it):
 
 * A: tuple of frozensets (the ordered blocks);
 * B: pair (tuple of frozensets, frozenset) -- the blocks strictly before
@@ -32,9 +33,11 @@ the other blocks.  Dimensions, flat types, Möbius values and strings are
 read off them, and so are the faces: those with support X are the
 orderings (types A and B) and signings (types B and C) of the pair blocks
 of X.  They are built once per flat, into the one index that ``faces``,
-``chambers``, ``walls`` and ``faces_with_support`` read.  A face or flat
-string is read only in the form that ``face_str`` or ``flat_str`` prints: a
-text is accepted exactly when the face or flat it names prints back as it.
+``chambers``, ``walls`` and ``faces_with_support`` read.  ``flat_of_blocks``
+builds a flat from its zero set and rejects blocks that the flat does not
+read back.  A face or flat string is read only in the form that
+``face_str`` or ``flat_str`` prints: a text is accepted exactly when the
+face or flat it names prints back as it.
 
 All values are immutable; every function is pure.
 """
@@ -45,7 +48,6 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 KIND_A = "A"
@@ -164,7 +166,7 @@ class Flat:
     """A flat, stored as its zero set: bit k of ``zero`` is set when the flat
     lies in the k-th hyperplane of ``hyperplanes(arr)``.  ``zero`` is the zero
     set of a covector, so a closed set; ``flat_of_blocks`` builds a flat from
-    any blocks.
+    blocks that it has.
 
     Flats are interned like faces, so equality and hashing are by identity.
     The blocks are read once per flat.
@@ -269,8 +271,17 @@ def _flat_of_classes(arr, zero, blocks):
 def flat_of_blocks(arr, zero, blocks):
     """The flat on which x_e = 0 for every e in ``zero`` and x_a = x_b for
     a, b in one block, with x_{-a} = -x_a: a block that meets its own
-    negative falls into the zero block."""
-    return _flat_of_classes(arr, *_classes(arr, ((0, *zero), *blocks)))
+    negative falls into the zero block.  The flat is built from its zero
+    set and must read these blocks back: a type-A flat has no zero block,
+    and a flat of the coordinate arrangement no block of two elements."""
+    classes = _classes(arr, ((0, *zero), *blocks))
+    flat = Flat(arr, _zero_set(arr, *classes))
+    if flat_blocks(flat) != classes:
+        raise ValueError(
+            f"no flat of {arr.kind}{arr.d} has the zero block {tuple(zero)}"
+            f" and the blocks {list(blocks)}"
+        )
+    return flat
 
 
 def flat_blocks(flat):
@@ -401,10 +412,9 @@ def chambers(arr):
 
 @lru_cache(maxsize=None)
 def walls(arr):
-    """The faces of dimension d - 1, each on one side of one hyperplane, in
-    the order of faces()."""
-    sides = (f for x in flats(arr) if x.dim == arr.d - 1 for f in faces_with_support(arr, x))
-    return tuple(sorted(sides, key=_face_sort_key))
+    """The faces of dimension d - 1, each on one side of one hyperplane: one
+    run of faces(), which is ordered by dimension first."""
+    return tuple(f for f in faces(arr) if f.dim == arr.d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +534,9 @@ def _point(arr, view):
     return x
 
 
-def _interior(face):
-    """The integer point ``_point`` of the face, as a tuple, computed once."""
+def interior_point(face):
+    """A canonical integer point in the relative interior of the face (the
+    point ``_point`` of its view), computed once."""
     if face._interior is None:
         face._interior = tuple(_point(face.arr, _view(face)))
     return face._interior
@@ -538,11 +549,6 @@ def _face_of_view(arr, view):
     if face._view is None:
         face._view = view
     return face
-
-
-def interior_point(face):
-    """A canonical rational point in the relative interior of the face."""
-    return tuple(Fraction(c) for c in _interior(face))
 
 
 def face_of_point(arr, point):
@@ -562,13 +568,11 @@ def face_of_point(arr, point):
 
 
 def tits_product_geometric(f, g):
-    """Oracle for the Tits product: the face of v_F + eps * v_G."""
-    arr = f.arr
-    eps = Fraction(1, 4 * arr.d * arr.d)
-    vf = interior_point(f)
-    vg = interior_point(g)
-    point = tuple(a + eps * b for a, b in zip(vf, vg))
-    return face_of_point(arr, point)
+    """Oracle for the Tits product: the face of v_F + eps * v_G, with
+    eps = 1 / (4 d^2), scaled by 1 / eps to an integer point."""
+    scale = 4 * f.arr.d ** 2
+    point = tuple(scale * a + b for a, b in zip(interior_point(f), interior_point(g)))
+    return face_of_point(f.arr, point)
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ def _cmd_eta(args):
         tables.append(spectra.eta_idempotent_rank(args.d))
     if arr.kind == arrg.KIND_C and args.d <= spectra.RANK_BOUND:
         tables.append(spectra.eta_gamma_rank(args.d))
-    agree = all(t.same_values(tables[0]) for t in tables[1:])
+    agree = all(t.first_difference(tables[0]) is None for t in tables[1:])
     rows = []
     for (x, r), v in tables[0].entries.items():
         if flat_filter is not None and x != flat_filter:

@@ -303,16 +303,6 @@ class TruncSeries:
             return result
         return self.log().scale(exponent).exp()
 
-    def scale_x(self, c):
-        """Substitution x -> c*x."""
-        c = Fraction(c)
-        out = []
-        f = Fraction(1)
-        for a in self.coeffs:
-            out.append(a.scale(f))
-            f *= c
-        return TruncSeries(self.order, tuple(out))
-
 
 # ---------------------------------------------------------------------------
 # closed-form generating functions
@@ -382,11 +372,6 @@ def _tally_poly(tally, t):
     for (k, e), c in tally:
         by_exc[e] = by_exc.get(e, 0) + c * t ** k
     return _poly_of_counts(by_exc)
-
-
-def _signed_central_poly(d):
-    """sum over signed permutations with support = bottom of z^{exc_B}."""
-    return _poly_of_counts({e: c for (k, e), c in _signed_stats(d) if k == 0})
 
 
 def _bivariate_A(d, t):
@@ -459,7 +444,7 @@ def verify_identities(order_a=8, order_b=6):
         # type B analogue: both sides have B-convention generating function
         # B(z,x)/sqrt(A(z,x)) - 1
         ("cyclic-excedance-B", order_b,
-         _central_rows(arrg.type_b, _signed_central_poly, central, "bgf", order_b)),
+         _central_rows(arrg.type_b, lambda d: _bivariate_B(d, 0), central, "bgf", order_b)),
         # 1 + sum (-1)^d (2d-1)!! x^d/(2d)!! = (1+x)^{-1/2}
         ("double-factorial-sqrt", order_b, _coefficient_rows(
             lambda d: RatPoly.of((-1) ** d * math.prod(range(2 * d - 1, 0, -2))),
@@ -474,15 +459,11 @@ def verify_identities(order_a=8, order_b=6):
         ("compositional-B", order_b, _compositional_rows(order_b)),
         ("exponential-B", order_b, _exponential_rows(order_b)),
         # bivariate identity in type B: B-gf of t^{dim supp} z^{exc_B} equals
-        # B(z,x) A(z,x)^{(t-1)/2}; at t = 0 with x -> 2x, read as an egf, it
-        # also matches the central count
-        ("supp-excedance-bivariate-B", order_b, itertools.chain(
-            _bivariate_rows(
-                _bivariate_B, ((t, B * Ab.power(Fraction(t - 1, 2))) for t in (0, 1, 2, 3)),
-                "bgf", order_b,
-            ),
-            _coefficient_rows(_signed_central_poly, central.scale_x(2), "egf",
-                              range(1, order_b + 1), t=0),
+        # B(z,x) A(z,x)^{(t-1)/2}; at t = 0 both sides are the central count
+        # and series of cyclic-excedance-B
+        ("supp-excedance-bivariate-B", order_b, _bivariate_rows(
+            _bivariate_B, ((t, B * Ab.power(Fraction(t - 1, 2))) for t in (0, 1, 2, 3)),
+            "bgf", order_b,
         )),
     )
     report = []

@@ -186,13 +186,14 @@ def _rref(rows, width):
     return mat[:r], pivots, origin[:r]
 
 
-def rank(rows, width=None):
+def rank(rows):
+    """The rank of the rows, counted by the forward elimination of
+    ``IncrementalRank``."""
     rows = list(rows)
-    if not rows:
-        return 0
-    if width is None:
-        width = len(rows[0])
-    return len(_rref(rows, width)[0])
+    tracker = IncrementalRank(len(rows[0]) if rows else 0)
+    for row in rows:
+        tracker.add(row)
+    return tracker.rank
 
 
 class Factorization(tuple):

@@ -6,10 +6,12 @@ exploits the deformation property: the normal fan of a deformation coarsens
 the arrangement fan, so argmax queries at chamber interior points extract
 vertices, and argmax at interior points of an arbitrary arrangement face F
 yields the face of the polytope attached to F, independently of the chosen
-interior point.  Points become a polytope only through ``VPolytope``: one
-point maximizes at each chamber, these pass the wall-crossing test on the
-walls (the faces of dimension d-1), and every other point lies in their
-hull.  ``psi1`` reads the edge lengths on the walls.
+interior point.  A face sum acts on classes through ``PiElement.act``, the
+bilinear extension of this face map.  Points become a polytope only through
+``VPolytope``: one point maximizes at each chamber, these pass the
+wall-crossing test on the walls (the faces of dimension d-1), and every
+other point lies in their hull.  ``psi1`` reads the edge lengths on the
+walls.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
@@ -44,7 +46,7 @@ _INTERN = weakref.WeakValueDictionary()
 
 @lru_cache(maxsize=None)
 def _chamber_vectors(arr):
-    return tuple(arrg._interior(ch) for ch in arrg.chambers(arr))
+    return tuple(arrg.interior_point(ch) for ch in arrg.chambers(arr))
 
 
 class VPolytope:
@@ -120,7 +122,7 @@ class VPolytope:
         arrangement face: the vertices maximizing its interior point."""
         fs = self._face_sets.get(face)
         if fs is None:
-            fs = self._face_sets[face] = frozenset(_argmax(self._ipts, arrg._interior(face)))
+            fs = self._face_sets[face] = frozenset(_argmax(self._ipts, arrg.interior_point(face)))
         return fs
 
     def face_max(self, face):
@@ -404,12 +406,8 @@ class PiElement(Combination):
         """Coefficient of the point class in the degree decomposition."""
         return sum(self.terms.values(), _ZERO)
 
-    def act_face(self, face):
-        """Module action of a single arrangement face: classwise maximization."""
-        return PiElement.linear(self.arr, self.terms.items(), lambda p: {p.face_max(face): 1})
-
     def act(self, element):
-        """Module action of a face sum (bilinear extension)."""
+        """Module action of a face sum: the bilinear extension of [p] H_F = [p_F]."""
         if element.arr != self.arr:
             raise ValueError("acting element over a different arrangement")
         return PiElement.bilinear(self.arr, element.terms, self.terms, lambda f, p: p.face_max(f))
@@ -671,7 +669,7 @@ def _outer_directions(arr):
     of the bottom flat, whose coordinate sum is constant on a deformation."""
     bottom = arrg.bottom_flat(arr)
     covers = (x for x in arrg.flats(arr) if x.dim == bottom.dim + 1)
-    out = [arrg._interior(f) for x in covers for f in arrg.faces_with_support(arr, x)]
+    out = [arrg.interior_point(f) for x in covers for f in arrg.faces_with_support(arr, x)]
     for block in arrg.flat_blocks(bottom)[1]:
         ell = tuple((i in block) - (-i in block) for i in range(1, arr.d + 1))
         out += [ell, tuple(-c for c in ell)]

@@ -56,9 +56,6 @@ class EtaTable:
             out[r] = out.get(r, 0) + v
         return out
 
-    def same_values(self, other):
-        return self.entries == other.entries
-
     def first_difference(self, other):
         """The first (flat, r), in the order of ``entries``, at which the two
         tables differ, or None when they agree."""
@@ -79,42 +76,10 @@ def _flat_h_product(flat):
     return h_of_type(arrg.flat_type(flat))
 
 
-@lru_cache(maxsize=None)
-def _ambient_zonotope(arr):
-    if arr.kind == arrg.KIND_A:
-        return polyclass.permutahedron(arr.d)
-    if arr.kind == arrg.KIND_B:
-        return polyclass.typeB_permutahedron(arr.d)
-    return polyclass.cube(arr.d)
-
-
-def _flat_h_geometric(flat):
-    """The same h-polynomial computed from an actual face of the zonotope."""
-    arr = flat.arr
-    z = _ambient_zonotope(arr)
-    face = arrg.faces_with_support(arr, flat)[0]
-    return z.face_max(face).h_polynomial()
-
-
-def eta_mobius(arr, check_geometric=False):
-    """The full eta table via Möbius sums of face h-polynomials.
-
-    With ``check_geometric`` the h-polynomial of every face shape is also
-    computed from actual vertex data and compared against the product form.
-    """
+def eta_mobius(arr):
+    """The full eta table via Möbius sums of face h-polynomials."""
     flats = arrg.flats(arr)
-    hs = {}
-    shapes_checked = set()
-    for y in flats:
-        hs[y] = _flat_h_product(y)
-        if check_geometric:
-            key = tuple(sorted(hs[y].coeffs))
-            if key not in shapes_checked:
-                shapes_checked.add(key)
-                if _flat_h_geometric(y) != hs[y]:
-                    raise AssertionError(
-                        f"h-polynomial mismatch (geometric vs product) at {arrg.flat_str(y)}"
-                    )
+    hs = {y: _flat_h_product(y) for y in flats}
     out = {}
     for x in flats:
         poly = RatPoly.of(0)
@@ -253,10 +218,9 @@ def _y_product(arr, s):
 # ---------------------------------------------------------------------------
 # the conjectural simultaneous eigenbasis (braid)
 
-def x_sigma(sigma, family=None):
+def x_sigma(sigma):
     """Path-product eigenvector candidate attached to a permutation."""
-    family = family or titsalgebra.adams_family(sigma.d)
-    return _leaf_path_product(sigma).act(family[sigma.supp()])
+    return _leaf_path_product(sigma).act(titsalgebra.adams_family(sigma.d)[sigma.supp()])
 
 
 def x_flat(flat):
@@ -294,7 +258,7 @@ def conjecture_check(d):
         groups.items(), key=lambda kv: (arrg._flat_sort_key(kv[0][0]), kv[0][1])
     ):
         tracker = linalg.IncrementalRank(len(face_order))
-        vectors = [x_sigma(s, fam) for s in sigmas]
+        vectors = [x_sigma(s) for s in sigmas]
         for v in vectors:
             tracker.add(_phi_vector(v, face_order))
         expected = eta.value(x, r)

@@ -109,9 +109,6 @@ class EulerianFamily:
     def __getitem__(self, flat):
         return self.elements[flat]
 
-    def flats(self):
-        return list(self.elements)
-
     def completeness_defect(self):
         unit = TitsElement.unit(self.arr)
         pairs = [(e, 1) for e in self.elements.values()] + [(unit, -1)]

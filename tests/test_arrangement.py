@@ -368,6 +368,19 @@ def test_flat_of_blocks_merges_blocks():
     assert arrg.flat_of_blocks(coordinate(3), (1, 2, 3), ()) is bottom_flat(coordinate(3))
 
 
+def test_flat_of_blocks_rejects_blocks_that_no_flat_has():
+    # a type-A flat has no zero block, and a cube flat no block of two; the
+    # call raises rather than hand these blocks to the interned flat
+    a3, c3 = braid(3), coordinate(3)
+    printed = [flat_str(x) for x in flats(a3)]
+    for arr, blocks in ((a3, [(0, 1), (2, 3)]), (c3, [(1, 2)])):
+        named = f"no flat of {arr.kind}3 has the zero block () and the blocks {blocks}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            arrg.flat_of_blocks(arr, (), blocks)
+    assert [flat_str(x) for x in flats(a3)] == printed
+    assert top_flat(c3).dim == 3
+
+
 @pytest.mark.parametrize(
     "arr, text",
     [
@@ -471,4 +484,5 @@ def test_support_index_equals_the_filter_scans(arr):
     for x in flats(arr):
         assert arrg.faces_with_support(arr, x) == tuple(f for f in fs if support(f) == x)
     assert arrg.chambers(arr) == tuple(f for f in fs if f.dim == arr.d)
-    assert arrg.walls(arr) == tuple(f for f in fs if f.dim == arr.d - 1)
+    sides = (f for x in flats(arr) if x.dim == arr.d - 1 for f in arrg.faces_with_support(arr, x))
+    assert arrg.walls(arr) == tuple(sorted(sides, key=arrg._face_sort_key))

@@ -108,12 +108,6 @@ def test_generating_function_low_coefficients():
         assert B.coeff(d, "bgf") == eulerian_B(d)
 
 
-def test_scale_x():
-    s = TruncSeries.from_coeffs([1, 1, 1], 2)
-    t = s.scale_x(2)
-    assert t.coeff(2) == RatPoly.of(4)
-
-
 def test_verify_identities_quick():
     report = verify_identities(order_a=5, order_b=3)
     assert all(r["ok"] for r in report), [r for r in report if not r["ok"]]

@@ -95,7 +95,7 @@ def _matrices(draw, max_rows=6, max_cols=6):
 def test_rank_matches_fraction_oracle(rows):
     width = len(rows[0])
     assert linalg.rank(rows) == _rank_oracle(rows, width)
-    assert linalg.rank(iter(rows), width) == _rank_oracle(rows, width)
+    assert linalg.rank(iter(rows)) == _rank_oracle(rows, width)
 
 
 def test_rank_of_no_rows():

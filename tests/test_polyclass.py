@@ -32,6 +32,7 @@ from zonalg.polyclass import (
     valuation_relation,
     zonotope_of,
 )
+from zonalg.titsalgebra import TitsElement
 
 
 def _pt(arr):
@@ -274,9 +275,9 @@ def test_module_axioms_on_classes():
     x = PiElement.of(permutahedron(3))
     for f in arrg.faces(arr):
         for g in arrg.faces(arr):
-            fg = arrg.tits_product(f, g)
-            assert pi_equal(x.act_face(f).act_face(g), x.act_face(fg))
-    assert pi_equal(x.act_face(central_face(arr)), x)
+            hf, hg = TitsElement.basis(f), TitsElement.basis(g)
+            assert pi_equal(x.act(hf).act(hg), x.act(TitsElement.basis(arrg.tits_product(f, g))))
+    assert pi_equal(x.act(TitsElement.basis(central_face(arr))), x)
 
 
 def test_action_by_log_identity():
@@ -284,7 +285,7 @@ def test_action_by_log_identity():
     arr = braid(3)
     dj = simplex(arr, {1, 2, 3})
     for f in arrg.faces(arr):
-        lhs = log_class(dj).act_face(f)
+        lhs = log_class(dj).act(TitsElement.basis(f))
         rhs = log_class(dj.face_max(f))
         assert pi_equal(lhs, rhs)
 
@@ -302,8 +303,8 @@ def test_action_multiplicative():
             rng.randint(-2, 2)
         )
         y = pool[rng.randrange(len(pool))]
-        f = faces[rng.randrange(len(faces))]
-        assert pi_equal((x * y).act_face(f), x.act_face(f) * y.act_face(f))
+        h = TitsElement.basis(faces[rng.randrange(len(faces))])
+        assert pi_equal((x * y).act(h), x.act(h) * y.act(h))
 
 
 def test_dilation_commutes_with_action():
@@ -311,7 +312,8 @@ def test_dilation_commutes_with_action():
     x = PiElement.of(permutahedron(3))
     for lam in (2, Fraction(3, 2)):
         for f in arrg.faces(arr)[::2]:
-            assert pi_equal(x.act_face(f).dilate(lam), x.dilate(lam).act_face(f))
+            h = TitsElement.basis(f)
+            assert pi_equal(x.act(h).dilate(lam), x.dilate(lam).act(h))
 
 
 def test_slices_and_valuation_relations():
@@ -515,7 +517,8 @@ def test_normalized_is_shared_by_translates():
 def _act_oracle(x, element):
     acc = PiElement.zero(x.arr)
     for face, coeff in element.terms.items():
-        acc = acc + x.act_face(face).scale(coeff)
+        for p, c in x.terms.items():
+            acc = acc + PiElement.of(p.face_max(face), c * coeff)
     return acc
 
 
@@ -587,7 +590,7 @@ def _sweep(p):
     from zonalg.polyclass import _argmax
 
     return all(
-        set(_argmax(p._ipts, arrg._interior(f))) == set(_argmax(p._ipts, _second_point(f)))
+        set(_argmax(p._ipts, arrg.interior_point(f))) == set(_argmax(p._ipts, _second_point(f)))
         for f in arrg.faces(p.arr)
     )
 

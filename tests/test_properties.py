@@ -265,6 +265,26 @@ def test_face_of_interior_point(kind, data):
     assert arrg.face_of_point(f.arr, arrg.interior_point(f)) is f
 
 
+@pytest.mark.parametrize("kind", arrg._KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_flat_of_blocks_returns_the_flat_with_the_blocks_asked(kind, data):
+    # groups of signed elements, 0 among them: the call raises exactly when
+    # no flat of the arrangement has the classes they ask for
+    arr = Arrangement(kind, data.draw(st.integers(1, 4)))
+    signed = st.integers(-arr.d, arr.d)
+    zero = data.draw(st.lists(signed, max_size=2))
+    groups = data.draw(st.lists(st.lists(signed, min_size=1, max_size=3), max_size=3))
+    asked = arrg._classes(arr, ((0, *zero), *groups))
+    have = {arrg.flat_blocks(x): x for x in arrg.flats(arr)}
+    try:
+        flat = arrg.flat_of_blocks(arr, zero, groups)
+    except ValueError:
+        assert asked not in have
+    else:
+        assert flat is have[asked]
+
+
 # ---------------------------------------------------------------------------
 # linear laws of the sparse combinations
 
