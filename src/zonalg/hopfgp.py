@@ -129,12 +129,10 @@ class Tensor2(Combination):
     def _key(pq):
         return (pq[0].normalized(), pq[1].normalized())
 
-    def phi2(self):
-        """Weights on pairs of arrangement faces (the tensor of the embeddings)."""
-        return Combination.linear(self.arr, self.terms.items(), _tensor_weights)
-
     def is_zero_class(self):
-        return self.phi2().is_zero()
+        """Whether the weights on pairs of arrangement faces (the tensor of
+        the embeddings) vanish."""
+        return Combination.linear(self.arr, self.terms.items(), _tensor_weights).is_zero()
 
 
 def _tensor_weights(pq):
@@ -298,17 +296,16 @@ def mc_coideal_check(n, seed=0):
     cases = []
     if n >= 2:
         p = polyclass.permutahedron(n)
-        cases.append((p, ("coord", 1), Fraction(3, 2)))
+        cases.append((p, (1,) + (0,) * (n - 1), Fraction(3, 2)))
         for _ in range(_COIDEAL_SAMPLES):
             gp = _sample_gps(n, rng)[-1]
-            vec = [Fraction(0)] * n
             i = rng.randint(1, n)
             vals = sorted({v[i - 1] for v in gp.poly.verts})
             if len(vals) >= 2:
                 c = (vals[0] + vals[-1]) / 2
-                cases.append((gp.poly, ("coord", i), c))
-    for poly, form, c in cases:
-        p_le, p_ge, p_eq = polyclass.slice_polytope(poly, form, c)
+                cases.append((gp.poly, tuple(int(k == i) for k in range(1, n + 1)), c))
+    for poly, normal, c in cases:
+        p_le, p_ge, p_eq = polyclass.slice_polytope(poly, normal, c)
         pieces = [(p_le, 1), (p_ge, 1), (poly, -1), (p_eq, -1)]
         for s in _proper_splits(labels):
             x = [(LabeledGP.make(labels, q), coeff) for q, coeff in pieces]

@@ -10,8 +10,10 @@ interior point.  A face sum acts on classes through ``PiElement.act``, the
 bilinear extension of this face map.  Points become a polytope only through
 ``VPolytope``: one point maximizes at each chamber, these pass the
 wall-crossing test on the walls (the faces of dimension d-1), and every
-other point lies in their hull.  ``psi1`` reads the edge lengths on the
-walls.
+other point lies in their hull; every number that enters must be exact.  A
+Minkowski sum adds the summands' vertices at each chamber.  The edges are
+the vertex pairs at the two chambers beside a wall: ``slice_polytope`` cuts
+them there, and ``psi1`` reads their lengths there.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
@@ -220,6 +222,7 @@ class VPolytope:
     # -- polytope operations -------------------------------------------------
 
     def translate(self, t):
+        t = tuple(map(_rational, t))
         return VPolytope(
             self.arr,
             [tuple(a + b for a, b in zip(v, t)) for v in self.verts],
@@ -239,17 +242,17 @@ class VPolytope:
     def minkowski(self, other):
         if self.arr != other.arr:
             raise ValueError("polytopes over different arrangements")
-        pts = _dedup(
-            tuple(a + b for a, b in zip(v, w))
-            for v in self.verts
-            for w in other.verts
+        # the vertex of a sum of deformations at a chamber is the sum of the
+        # summands' vertices there, and each vertex maximizes at some chamber
+        at = zip(_chamber_sweep(self.arr, self._ipts), _chamber_sweep(self.arr, other._ipts))
+        return VPolytope(
+            self.arr,
+            [tuple(map(operator.add, self.verts[i], other.verts[j])) for i, j in set(at)],
+            assume_vertices=True,
         )
-        # a sum of deformations is one: the chamber sweep alone picks its vertices
-        at = _chamber_sweep(self.arr, _int_coords(pts)[1])
-        return VPolytope(self.arr, [pts[i] for i in set(at)], assume_vertices=True)
 
     def dilate(self, lam):
-        lam = Fraction(lam)
+        lam = _rational(lam)
         if lam < 0:
             raise ValueError("dilation requires a nonnegative scalar")
         if lam == 0:
@@ -265,9 +268,17 @@ def _dedup(points):
     """The distinct points, in order, each a tuple of ``Fraction``s; a point
     that already is one is kept as it is."""
     return list(dict.fromkeys(
-        p if type(p) is tuple and all(type(c) is Fraction for c in p) else tuple(map(Fraction, p))
+        p if type(p) is tuple and all(type(c) is Fraction for c in p) else tuple(map(_rational, p))
         for p in points
     ))
+
+
+def _rational(c):
+    """An exact number from an int, a ``Fraction`` or a string such as "1/2";
+    a float or a bool would be read as something else, so it is rejected."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
+        raise ValueError(f'a number must be an integer, a Fraction or a string such as "1/2", got {c!r}')
+    return Fraction(c)
 
 
 def _int_coords(verts):
@@ -544,7 +555,7 @@ def simplex0(arr, indices):
 
 
 def segment(arr, v):
-    return VPolytope(arr, [(Fraction(0),) * arr.d, tuple(Fraction(c) for c in v)])
+    return VPolytope(arr, [(Fraction(0),) * arr.d, v])
 
 
 def hyperplane_normals(arr):
@@ -567,67 +578,43 @@ def zonotope_of(arr):
 # ---------------------------------------------------------------------------
 # slicing (generates valuation relations)
 
-def _slice_form(arr, form):
-    kind = form[0]
-    d = arr.d
-    vec = [Fraction(0)] * d
-    if kind == "coord":
-        _, i = form
-        vec[i - 1] = Fraction(1)
-    elif kind == "diff":
-        if arr.kind == arrg.KIND_C:
-            raise ValueError("difference forms are not available for the coordinate arrangement")
-        _, i, j = form
-        vec[i - 1] = Fraction(1)
-        vec[j - 1] = Fraction(-1)
-    elif kind == "sum":
-        if arr.kind != arrg.KIND_B:
-            raise ValueError("sum forms are only available for type B")
-        _, i, j = form
-        vec[i - 1] = Fraction(1)
-        vec[j - 1] = Fraction(1)
-    else:
-        raise ValueError(f"unknown slice form {form!r}")
-    return tuple(vec)
+def slice_polytope(p, normal, c):
+    """Cut a deformation by the hyperplane <normal, x> = c; returns (lower,
+    upper, section).
 
-
-def slice_polytope(p, form, c):
-    """Cut a deformation along a hyperplane; returns (lower, upper, section).
-
-    The value c must lie strictly between the minimum and maximum of the form
-    over the polytope.  Each piece is built from its points, so cuts that
-    break the deformation property (which can happen for difference forms in
-    dimension >= 3) are rejected.
+    The level c must lie strictly between the minimum and maximum of the
+    normal over the polytope.  The cuts lie on the edges, each of which joins
+    the vertices at the two chambers beside some wall.  Each piece is built
+    from its points, so cuts that break the deformation property (which can
+    happen for a normal such as e_1 - e_2 in dimension >= 3) are rejected.
     """
     arr = p.arr
-    vec = _slice_form(arr, form)
-    c = Fraction(c)
-    vals = {v: sum(a * b for a, b in zip(v, vec)) for v in p.verts}
-    lo, hi = min(vals.values()), max(vals.values())
+    normal = tuple(map(_rational, normal))
+    if len(normal) != arr.d:
+        raise ValueError(f"a normal needs {arr.d} coordinates, got {len(normal)}")
+    c = _rational(c)
+    vals = [sum(map(operator.mul, v, normal)) for v in p.verts]
+    lo, hi = min(vals), max(vals)
     if not (lo < c < hi):
         raise ValueError(f"slice level {c} outside the open range ({lo}, {hi})")
-    lower = [v for v in p.verts if vals[v] <= c]
-    upper = [v for v in p.verts if vals[v] >= c]
-    section = [v for v in p.verts if vals[v] == c]
-    lat = p.lattice()
-    for fs, dim in lat.items():
-        if dim != 1:
-            continue
-        i, j = sorted(fs)
-        a, b = p.verts[i], p.verts[j]
-        va, vb = vals[a], vals[b]
-        if (va < c < vb) or (vb < c < va):
-            t = (c - va) / (vb - va)
-            cut = tuple(x + t * (y - x) for x, y in zip(a, b))
+    lower = [v for v, x in zip(p.verts, vals) if x <= c]
+    upper = [v for v, x in zip(p.verts, vals) if x >= c]
+    section = [v for v, x in zip(p.verts, vals) if x == c]
+    at = _chamber_sweep(arr, p._ipts)
+    for _, plus, minus, _, _ in _wall_table(arr):
+        i, j = at[plus], at[minus]
+        if vals[i] < c < vals[j] or vals[j] < c < vals[i]:
+            t = (c - vals[i]) / (vals[j] - vals[i])
+            cut = tuple(x + t * (y - x) for x, y in zip(p.verts[i], p.verts[j]))
             lower.append(cut)
             upper.append(cut)
             section.append(cut)
     return VPolytope(arr, lower), VPolytope(arr, upper), VPolytope(arr, section)
 
 
-def valuation_relation(p, form, c):
+def valuation_relation(p, normal, c):
     """[lower] + [upper] - [whole] - [section] as a formal class combination."""
-    p_le, p_ge, p_eq = slice_polytope(p, form, c)
+    p_le, p_ge, p_eq = slice_polytope(p, normal, c)
     return (
         PiElement.of(p_le) + PiElement.of(p_ge) - PiElement.of(p) - PiElement.of(p_eq)
     )
@@ -658,7 +645,7 @@ def polytope_to_json(p):
 
 def polytope_from_json(data):
     arr = arrg.arrangement_named(data["arrangement"], data["d"])
-    return VPolytope(arr, [tuple(_json_coordinate(c) for c in row) for row in data["points"]])
+    return VPolytope(arr, data["points"])
 
 
 @lru_cache(maxsize=None)
@@ -674,11 +661,3 @@ def _outer_directions(arr):
         ell = tuple((i in block) - (-i in block) for i in range(1, arr.d + 1))
         out += [ell, tuple(-c for c in ell)]
     return tuple(out)
-
-
-def _json_coordinate(c):
-    """An exact coordinate from a JSON integer or a string such as "1/2"; a
-    float or a bool would be read as something else, so it is rejected."""
-    if isinstance(c, bool) or not isinstance(c, (int, str)):
-        raise ValueError(f'a coordinate must be a JSON integer or a string such as "1/2", got {c!r}')
-    return Fraction(c)

@@ -120,7 +120,7 @@ def test_criterion_07_phi_soundness():
             c = (vals[0] + vals[-1]) / 2
             if not (vals[0] < c < vals[-1]):
                 continue
-            rel = valuation_relation(p, ("coord", i), c)
+            rel = valuation_relation(p, tuple(int(k == i) for k in range(1, arr.d + 1)), c)
             ok = ok and rel.phi().is_zero()
             relations += 1
         for _ in range(25):

@@ -146,7 +146,7 @@ def test_two_one_simplex_example():
 def test_coproduct_tensor_of_valuation_element_vanishes():
     labels = (1, 2, 3)
     p = permutahedron(3)
-    le, ge, eq = polyclass.slice_polytope(p, ("coord", 1), Fraction(3, 2))
+    le, ge, eq = polyclass.slice_polytope(p, (1, 0, 0), Fraction(3, 2))
     x = [
         (LabeledGP.make(labels, le), 1),
         (LabeledGP.make(labels, ge), 1),

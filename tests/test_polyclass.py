@@ -317,30 +317,55 @@ def test_dilation_commutes_with_action():
 
 
 def test_slices_and_valuation_relations():
-    assert valuation_relation(cube(2), ("coord", 1), Fraction(1, 2)).phi().is_zero()
+    assert valuation_relation(cube(2), (1, 0), Fraction(1, 2)).phi().is_zero()
     arr1 = coordinate(1)
     seg = VPolytope(arr1, [(Fraction(0),), (Fraction(1),)], assume_vertices=True)
-    assert valuation_relation(seg, ("coord", 1), Fraction(1, 2)).phi().is_zero()
-    assert valuation_relation(permutahedron(3), ("coord", 1), Fraction(3, 2)).phi().is_zero()
-    assert valuation_relation(permutahedron(2), ("diff", 1, 2), Fraction(1, 3)).phi().is_zero()
-    assert valuation_relation(typeB_permutahedron(2), ("diff", 1, 2), Fraction(1, 2)).phi().is_zero()
-    assert valuation_relation(typeB_permutahedron(2), ("sum", 1, 2), Fraction(1, 2)).phi().is_zero()
+    assert valuation_relation(seg, (1,), Fraction(1, 2)).phi().is_zero()
+    assert valuation_relation(permutahedron(3), (1, 0, 0), Fraction(3, 2)).phi().is_zero()
+    assert valuation_relation(permutahedron(2), (1, -1), Fraction(1, 3)).phi().is_zero()
+    assert valuation_relation(typeB_permutahedron(2), (1, -1), Fraction(1, 2)).phi().is_zero()
+    assert valuation_relation(typeB_permutahedron(2), (1, 1), Fraction(1, 2)).phi().is_zero()
 
 
 def test_slice_level_must_be_interior():
     with pytest.raises(ValueError):
-        slice_polytope(cube(2), ("coord", 1), Fraction(2))
+        slice_polytope(cube(2), (1, 0), Fraction(2))
 
 
 def test_diagonal_slice_of_hexagon_is_not_a_deformation():
     # cutting along x1 - x2 creates an edge outside the root directions
     with pytest.raises(NotDeformationError):
-        slice_polytope(permutahedron(3), ("diff", 1, 2), 0)
+        slice_polytope(permutahedron(3), (1, -1, 0), 0)
+
+
+def test_slice_takes_any_normal_of_the_right_length():
+    # (1, 1, 0) is no coordinate, difference or type-B sum normal
+    assert valuation_relation(permutahedron(3), (1, 1, 0), 4).phi().is_zero()
+    for normal in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="a normal needs 2 coordinates"):
+            slice_polytope(cube(2), normal, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_polytope_inputs_must_be_exact(bad):
+    arr, p = coordinate(2), cube(2)
+    calls = [
+        lambda: VPolytope(arr, [(bad, 0), (0, 0)]),
+        lambda: VPolytope(arr, [(bad, 0), (0, 0)], assume_vertices=True),
+        lambda: p.dilate(bad),
+        lambda: p.translate((bad, 0)),
+        lambda: segment(arr, (bad, 0)),
+        lambda: slice_polytope(p, (bad, 0), Fraction(1, 2)),
+        lambda: slice_polytope(p, (1, 0), bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            call()
 
 
 def test_slice_pieces_cover():
     p = cube(2)
-    le, ge, eq = slice_polytope(p, ("coord", 2), Fraction(1, 3))
+    le, ge, eq = slice_polytope(p, (0, 1), Fraction(1, 3))
     assert pi_equal(
         PiElement.of(le) + PiElement.of(ge) - PiElement.of(eq), PiElement.of(p)
     )
@@ -632,13 +657,13 @@ def _built_polytopes():
                 acc = acc.minkowski(q.dilate(rng.choice((1, 2))))
             out += [acc, acc.dilate(Fraction(3, 2))]
     out += [p.face_max(f) for p in (permutahedron(3), typeB_permutahedron(2)) for f in arrg.faces(p.arr)]
-    for p, form, c in [
-        (cube(2), ("coord", 2), Fraction(1, 3)),
-        (permutahedron(3), ("coord", 1), Fraction(3, 2)),
-        (typeB_permutahedron(2), ("diff", 1, 2), Fraction(1, 2)),
-        (typeB_permutahedron(2), ("sum", 1, 2), Fraction(1, 2)),
+    for p, normal, c in [
+        (cube(2), (0, 1), Fraction(1, 3)),
+        (permutahedron(3), (1, 0, 0), Fraction(3, 2)),
+        (typeB_permutahedron(2), (1, -1), Fraction(1, 2)),
+        (typeB_permutahedron(2), (1, 1), Fraction(1, 2)),
     ]:
-        out += slice_polytope(p, form, c)
+        out += slice_polytope(p, normal, c)
     return out + _diagonal_pieces()
 
 
@@ -749,3 +774,78 @@ def test_ties_and_idle_vertices_are_named():
     roof = VPolytope(coordinate(2), square + ((Fraction(1, 2), Fraction(11, 10)),), assume_vertices=True)
     with pytest.raises(NotDeformationError, match=re.escape("point ['1/2', '11/10'] lies outside the hull")):
         check_deformation(roof)
+
+
+# ---------------------------------------------------------------------------
+# sums and slices read at the chambers, against the routes they replaced
+
+def _pairwise_minkowski(p, q):
+    """The pairwise-sum route: the polytope of all |P|·|Q| sums of vertices."""
+    return VPolytope(p.arr, [tuple(a + b for a, b in zip(v, w)) for v in p.verts for w in q.verts])
+
+
+def _summands(arr, rng):
+    """The point, the segments of the zonotope, some faces of the
+    permutahedron (or cube) and some generators of the arrangement."""
+    base = {arrg.KIND_A: permutahedron, arrg.KIND_B: typeB_permutahedron, arrg.KIND_C: cube}[arr.kind](arr.d)
+    out = [_pt(arr)] + [segment(arr, v) for v in hyperplane_normals(arr)]
+    out += [base.face_max(f) for f in rng.sample(arrg.faces(arr), 6)]
+    if arr.kind == arrg.KIND_A:
+        out += [simplex(arr, s) for s in ({1, 2}, {1, 3}, set(range(1, arr.d + 1)))]
+    elif arr.kind == arrg.KIND_B:
+        out += [simplex(arr, {1, -2}), simplex(arr, {1, 2, -3}), simplex0(arr, {2, 3})]
+    return out
+
+
+@pytest.mark.parametrize("arr", [braid(3), braid(4), type_b(3), coordinate(3)])
+def test_minkowski_equals_the_pairwise_sums(arr):
+    rng = random.Random(arr.d)
+    pool = _summands(arr, rng)
+    for _ in range(6):
+        acc = _pt(arr)
+        for q in rng.sample(pool, 3):
+            q = q.dilate(rng.choice((1, 2, Fraction(1, 2))))
+            assert acc.minkowski(q) == _pairwise_minkowski(acc, q) == q.minkowski(acc)
+            acc = acc.minkowski(q)
+
+
+def _slice_by_lattice_edges(p, normal, c):
+    """The face-lattice route of ``slice_polytope``: cut every edge of the
+    lattice that the hyperplane crosses."""
+    vals = {v: sum(a * b for a, b in zip(v, normal)) for v in p.verts}
+    pieces = [[v for v in p.verts if vals[v] <= c], [v for v in p.verts if vals[v] >= c]]
+    pieces.append([v for v in p.verts if vals[v] == c])
+    for fs, dim in p.lattice().items():
+        if dim != 1:
+            continue
+        a, b = (p.verts[i] for i in sorted(fs))
+        if vals[a] < c < vals[b] or vals[b] < c < vals[a]:
+            cut = tuple(x + (c - vals[a]) / (vals[b] - vals[a]) * (y - x) for x, y in zip(a, b))
+            for piece in pieces:
+                piece.append(cut)
+    return tuple(VPolytope(p.arr, piece) for piece in pieces)
+
+
+def _pieces_or_rejection(route, p, normal, c):
+    try:
+        return route(p, normal, c)
+    except NotDeformationError:
+        return NotDeformationError
+
+
+def test_edges_at_the_walls_are_the_lattice_edges():
+    from zonalg.polyclass import _chamber_sweep, _wall_table
+
+    checked = [0, 0]  # pieces built, cuts rejected
+    for p in filter(_wall_test, _built_polytopes()):
+        at = _chamber_sweep(p.arr, p._ipts)
+        walls = {frozenset((at[plus], at[minus])) for _, plus, minus, _, _ in _wall_table(p.arr)}
+        assert walls - {frozenset((i,)) for i in at} == {fs for fs, dim in p.lattice().items() if dim == 1}
+        for normal in [(0,) * (p.arr.d - 1) + (1,)] + hyperplane_normals(p.arr)[:3]:
+            vals = sorted({sum(a * b for a, b in zip(v, normal)) for v in p.verts})
+            if len(vals) > 1:
+                c = (vals[0] + vals[-1]) / 2
+                want = _pieces_or_rejection(_slice_by_lattice_edges, p, normal, c)
+                assert _pieces_or_rejection(slice_polytope, p, normal, c) == want
+                checked[want is NotDeformationError] += 1
+    assert checked[False] > 100 and checked[True] > 10
