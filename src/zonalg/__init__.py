@@ -49,7 +49,6 @@ from .polyclass import (
     cube,
     exp_class,
     graded_component,
-    lattice_volume,
     log_class,
     permutahedron,
     pi_equal,

@@ -305,8 +305,7 @@ def mc_coideal_check(n, seed=0):
                 c = (vals[0] + vals[-1]) / 2
                 cases.append((gp.poly, tuple(int(k == i) for k in range(1, n + 1)), c))
     for poly, normal, c in cases:
-        p_le, p_ge, p_eq = polyclass.slice_polytope(poly, normal, c)
-        pieces = [(p_le, 1), (p_ge, 1), (poly, -1), (p_eq, -1)]
+        pieces = polyclass.valuation_relation(poly, normal, c).terms.items()
         for s in _proper_splits(labels):
             x = [(LabeledGP.make(labels, q), coeff) for q, coeff in pieces]
             tensor = coproduct_tensor(x, s)

@@ -17,10 +17,13 @@ them there, and ``psi1`` reads their lengths there.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
-counted only when that face has complementary dimension.  This map is
-linear, kills translations, vanishes on valuation relations, and is
-injective on the span of deformation classes, so all equality and rank
-questions are settled here.
+counted only when that face has complementary dimension.  It is a sum over
+the chambers above F, Lawrence's formula in the vertices there, which gives
+the volume on the whole deformation cone (McMullen's polynomiality) and so
+0 where the face has a lower dimension.  This map is linear, kills
+translations, vanishes on valuation relations, and is injective on the
+span of deformation classes, so all equality and rank questions are
+settled here.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import operator
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import arrangement as arrg
 from . import linalg
@@ -62,7 +65,7 @@ class VPolytope:
 
     __slots__ = (
         "arr", "verts", "_den", "_ipts", "_dim", "_face_sets", "_face_cache",
-        "_lattice", "_children", "_volumes", "_weights", "_normal", "__weakref__",
+        "_lattice", "_weights", "_normal", "__weakref__",
     )
 
     def __new__(cls, arr, points, assume_vertices=False):
@@ -86,9 +89,7 @@ class VPolytope:
             self._face_sets = {}
             self._face_cache = {}
             self._lattice = None
-            self._children = None
-            self._volumes = {}
-            self._weights = {}
+            self._weights = None
             self._normal = None
             _INTERN[key] = self
         return self
@@ -102,20 +103,12 @@ class VPolytope:
             self._dim = self._face_dim(frozenset(range(len(self.verts))))
         return self._dim
 
-    def _edges(self, idx):
-        """Integer edge matrix of the vertices ``idx`` (scaled by ``_den``),
-        from the first of them to the others."""
-        ipts = self._ipts
-        base = ipts[idx[0]]
-        return [[a - b for a, b in zip(ipts[i], base)] for i in idx[1:]]
-
     def _face_dim(self, fs):
         """Dimension of the face with vertex indices ``fs``."""
         if len(fs) <= 2:
             return len(fs) - 1
-        if self._lattice is not None:
-            return self._lattice[fs]
-        return linalg.rank(self._edges(sorted(fs)))
+        base, *rest = (self._ipts[i] for i in sorted(fs))
+        return linalg.rank([[a - b for a, b in zip(q, base)] for q in rest])
 
     # -- faces ------------------------------------------------------------
 
@@ -150,18 +143,6 @@ class VPolytope:
             self._lattice = lat
         return self._lattice
 
-    def children(self):
-        """fset -> list of its facets (codimension-one faces) in the lattice."""
-        if self._children is None:
-            lat = self.lattice()
-            kids = {fs: [] for fs in lat}
-            for fs, dim in lat.items():
-                for gs, gdim in lat.items():
-                    if gdim == dim - 1 and gs < fs:
-                        kids[fs].append(gs)
-            self._children = kids
-        return self._children
-
     def f_vector(self):
         lat = self.lattice()
         out = [0] * (self.dim + 1)
@@ -177,52 +158,12 @@ class VPolytope:
             acc = acc + zm1 ** i * Fraction(f)
         return acc
 
-    # -- volumes and cone weights ------------------------------------------
-
-    def _simplices(self, fs):
-        lat = self.lattice()
-        if lat[fs] == 0:
-            return [tuple(fs)]
-        base = min(fs)
-        out = []
-        for g in self.children()[fs]:
-            if base in g:
-                continue
-            for s in self._simplices(g):
-                out.append((base,) + s)
-        return out
-
-    def face_volume(self, fs):
-        """Normalized volume of a face: Euclidean volume in coordinates of a
-        lattice basis of (span of the face) intersected with Z^d.  Over the
-        simplices of a triangulation, that is the sum of the gcds of the
-        r x r minors of their integer edge matrices, over r! den^r."""
-        vol = self._volumes.get(fs)
-        if vol is None:
-            r = self._face_dim(fs)
-            simplices = [sorted(fs)] if len(fs) == r + 1 else self._simplices(fs)
-            total = sum(linalg.lattice_index(self._edges(s)) for s in simplices)
-            vol = Fraction(total, factorial(r) * self._den ** r)
-            self._volumes[fs] = vol
-        return vol
-
-    def cone_weight(self, face):
-        """Weight of the class [p] at one arrangement face: the normalized
-        volume of p's face there, if its dimension is complementary."""
-        w = self._weights.get(face)
-        if w is None:
-            fs = self.face_set(face)
-            if self._face_dim(fs) == self.arr.d - face.dim:
-                w = self.face_volume(fs)
-            else:
-                w = _ZERO
-            self._weights[face] = w
-        return w
-
     # -- polytope operations -------------------------------------------------
 
     def translate(self, t):
         t = tuple(map(_rational, t))
+        if len(t) != self.arr.d:
+            raise ValueError(f"a translation needs {self.arr.d} coordinates, got {len(t)}")
         return VPolytope(
             self.arr,
             [tuple(a + b for a, b in zip(v, t)) for v in self.verts],
@@ -372,9 +313,65 @@ class ConeWeights(Combination):
         return arrg.face_terms_json(self.terms)
 
 
+@lru_cache(maxsize=None)
+def _lawrence_table(arr):
+    """(c, rows): c = (1, 3, ..., 3^(d-1)), on no hyperplane, and per face F
+    (in the order of ``faces``) a row (F, k, den, terms), k = d - dim F, with
+    weight_P(F) = sum n <c, v_P(C)>^k / den over the terms (C, n), C the
+    index of a chamber above F.  This is Lawrence's volume formula (1991)
+    for P_F: at C its tangent cone is spanned by the normals g of the walls
+    W >= F of C, turned away from C, and n / den = 1 / (k! prod -<c, g>).
+    The formula also divides by the lattice index of these g, which is 1:
+    the normals of the walls of a chamber are a basis of the lattice that
+    the hyperplane normals span, and that lattice is saturated in Z^d.
+    The chambers above F are walked from F C_0 across the walls above F."""
+    c = [3 ** i for i in range(arr.d)]
+    around = [[] for _ in _chamber_vectors(arr)]  # chamber -> (wall, the chamber across, -<c, g>)
+    for wall, plus, minus, n, _ in _wall_table(arr):
+        cn = sum(map(operator.mul, c, n))
+        around[plus].append((wall, minus, cn))  # g = -n points from plus to minus
+        around[minus].append((wall, plus, -cn))
+    index = {ch: i for i, ch in enumerate(arrg.chambers(arr))}
+    rows = []
+    for face in arrg.faces(arr):
+        first = index[arrg.tits_product(face, arrg.chambers(arr)[0])]
+        seen, todo, terms = {first}, [first], []
+        while todo:
+            ch = todo.pop()
+            height = 1  # prod -<c, g> over the walls above F
+            for wall, other, cg in around[ch]:
+                if arrg.face_leq(face, wall):
+                    height *= cg
+                    if other not in seen:
+                        seen.add(other)
+                        todo.append(other)
+            terms.append((ch, height))
+        k = arr.d - face.dim
+        den = lcm(*(h for _, h in terms))
+        rows.append((face, k, factorial(k) * den, tuple((ch, den // h) for ch, h in terms)))
+    return c, tuple(rows)
+
+
+def _lawrence_sums(p, walls_only=False):
+    """The nonzero weights of [p] at every face, or at the walls only, by
+    the formula of ``_lawrence_table`` on the vertices at the chambers."""
+    c, rows = _lawrence_table(p.arr)
+    heights = [sum(map(operator.mul, c, q)) for q in p._ipts]
+    s = [heights[i] for i in _chamber_sweep(p.arr, p._ipts)]
+    out = {}
+    for face, k, den, terms in rows:
+        if walls_only and k != 1:
+            continue
+        if total := sum(n * s[ch] ** k for ch, n in terms):
+            out[face] = Fraction(total, den * p._den ** k)
+    return out
+
+
 def polytope_cone_weights(p):
-    """Cone weights of the single class [p]."""
-    return ConeWeights._make(p.arr, {f: w for f in arrg.faces(p.arr) if (w := p.cone_weight(f))})
+    """Cone weights of the single class [p], computed once per polytope."""
+    if p._weights is None:
+        p._weights = ConeWeights._make(p.arr, _lawrence_sums(p))
+    return p._weights
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +427,6 @@ class PiElement(Combination):
 
 def _point(arr):
     return VPolytope(arr, [(Fraction(0),) * arr.d], assume_vertices=True)
-
-
-def lattice_volume(q):
-    """Normalized volume of a polytope given by its vertex set: Euclidean
-    volume in coordinates of a lattice basis of its linear span over Z^d."""
-    return q.face_volume(frozenset(range(len(q.verts))))
 
 
 def pi_equal(x, y):
@@ -629,7 +620,7 @@ def psi1(p):
     Equals phi(log_class(p)) restricted to the walls (the faces of
     dimension d-1), which are the cone weights of [p] there.
     """
-    return ConeWeights._make(p.arr, {f: w for f in arrg.walls(p.arr) if (w := p.cone_weight(f))})
+    return ConeWeights._make(p.arr, _lawrence_sums(p, walls_only=True))
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,10 @@ def test_hopf_axioms(n):
     assert rep["coassociative"] and rep["compatible"] and rep["antipode"]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_mc_coideal(n):
     rep = mc_coideal_check(n)
-    assert rep["valuation"] and rep["translation"]
+    assert rep["valuation"] and rep["translation"] and rep["product_ideal"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction
 
 from zonalg import arrangement as arrg
+from zonalg import linalg, polyclass
 from zonalg.arrangement import braid, type_b, coordinate, central_face, parse_face
 from zonalg.gfseries import RatPoly, eulerian_A, eulerian_B
 from zonalg.polyclass import (
@@ -33,6 +34,8 @@ from zonalg.polyclass import (
     zonotope_of,
 )
 from zonalg.titsalgebra import TitsElement
+
+from volume_oracle import face_volume, lattice_volume
 
 
 def _pt(arr):
@@ -158,8 +161,6 @@ def test_non_deformation_rejected():
 
 
 def test_segment_volume_normalization():
-    from zonalg.polyclass import lattice_volume
-
     # the lineality segment [0, c(1, 1)]: c times the primitive vector (1, 1)
     for c, want in ((1, 1), (2, 2), (Fraction(1, 2), Fraction(1, 2))):
         seg = VPolytope(braid(2), [(0, 0), (c, c)], assume_vertices=True)
@@ -169,12 +170,11 @@ def test_segment_volume_normalization():
 def test_unit_square_volume():
     sq = cube(2)
     top = [fs for fs, dim in sq.lattice().items() if dim == 2]
-    assert len(top) == 1 and sq.face_volume(top[0]) == 1
+    assert len(top) == 1 and face_volume(sq, top[0]) == 1
+    assert polytope_cone_weights(sq).coeff(central_face(sq.arr)) == 1
 
 
 def test_lattice_volume_examples():
-    from zonalg.polyclass import lattice_volume
-
     arr = coordinate(2)
     seg = VPolytope(arr, [(0, 0), (1, 1)], assume_vertices=True)
     assert lattice_volume(seg) == 1  # primitive lattice length
@@ -187,20 +187,45 @@ def test_lattice_volume_examples():
 
 
 def test_lattice_volume_against_independent_oracles():
-    from zonalg.polyclass import lattice_volume
+    cases = [
+        # the permutahedron is the graphical zonotope of the complete graph,
+        # so its lattice volume counts spanning trees: d^(d-2)
+        (permutahedron(3), 3),
+        (permutahedron(4), 16),
+        # zonotope of the type-B normals in the plane: sum over independent
+        # pairs of |det| = 2 + 1 + 1 + 1 + 1 + 1
+        (zonotope_of(type_b(2)), 7),
+        # the octagon with vertices (±1,±2),(±2,±1): a 4x4 box minus four
+        # half-unit corners
+        (typeB_permutahedron(2), 14),
+        # dilation scales r-volume by lambda^r
+        (permutahedron(3).dilate(2), 12),
+    ]
+    for p, want in cases:
+        assert lattice_volume(p) == want
+        # Lawrence's formula at the central face, where the face of a
+        # deformation is the whole polytope
+        assert polytope_cone_weights(p).coeff(central_face(p.arr)) == want
 
-    # the permutahedron is the graphical zonotope of the complete graph, so
-    # its lattice volume counts spanning trees: d^(d-2)
-    assert lattice_volume(permutahedron(3)) == 3
-    assert lattice_volume(permutahedron(4)) == 16
-    # zonotope of the type-B normals in the plane: sum over independent
-    # pairs of |det| = 2 + 1 + 1 + 1 + 1 + 1
-    assert lattice_volume(zonotope_of(type_b(2))) == 7
-    # the octagon with vertices (±1,±2),(±2,±1): a 4x4 box minus four
-    # half-unit corners
-    assert lattice_volume(typeB_permutahedron(2)) == 14
-    # dilation scales r-volume by lambda^r
-    assert lattice_volume(permutahedron(3).dilate(2)) == 12
+
+@pytest.mark.parametrize(
+    "arr",
+    [braid(d) for d in range(2, 6)] + [type_b(d) for d in range(1, 5)] + [coordinate(d) for d in range(1, 5)],
+    ids=str,
+)
+def test_chamber_walls_are_a_lattice_basis(arr):
+    """Lawrence's formula divides by the lattice index of the wall normals
+    above a face at each chamber above it, which the cone weights leave
+    out: the normals of the walls of a chamber span a saturated lattice, so
+    every subset of them does too."""
+    walls_at = {}
+    for _, plus, minus, n, _ in polyclass._wall_table(arr):
+        for ch in (plus, minus):
+            walls_at.setdefault(ch, []).append(n)
+    assert len(walls_at) == len(arrg.chambers(arr))
+    for normals in walls_at.values():
+        assert len(normals) == arr.d - (arr.kind == arrg.KIND_A)
+        assert linalg.lattice_index(normals) == 1
 
 
 def test_permutahedron_edges_are_primitive():
@@ -344,6 +369,13 @@ def test_slice_takes_any_normal_of_the_right_length():
     for normal in [(1,), (1, 0, 0)]:
         with pytest.raises(ValueError, match="a normal needs 2 coordinates"):
             slice_polytope(cube(2), normal, Fraction(1, 2))
+
+
+def test_translate_takes_a_vector_of_the_right_length():
+    # zip would cut a longer vector to d coordinates without a word
+    for t in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match=f"a translation needs 2 coordinates, got {len(t)}"):
+            cube(2).translate(t)
 
 
 @pytest.mark.parametrize("bad", [0.1, True])

@@ -4,8 +4,10 @@ accepted and that print back as themselves, the covector Tits product, face
 order and support agree with their geometric oracles, the sparse
 combinations obey the laws of a rational vector space, and the products, the
 support map and the module action that the extension kernel builds obey the
-laws of the algebras."""
+laws of the algebras, and the cone weights by Lawrence's formula equal the
+triangulation oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,12 +21,17 @@ from zonalg.polyclass import (
     VPolytope,
     cube,
     permutahedron,
+    polytope_cone_weights,
+    psi1,
     segment,
     simplex,
     simplex0,
     typeB_permutahedron,
 )
+from zonalg.spectra import b_generators
 from zonalg.titsalgebra import FlatsElement, TitsElement
+
+import volume_oracle
 
 _SETTINGS = settings(max_examples=150, deadline=None)
 _FEW = settings(max_examples=40, deadline=None)
@@ -444,3 +451,39 @@ def test_face_sums_act_on_classes(kind, data):
     xe = x.act(e)
     assert xe.act(e2) == x.act(e * e2)
     assert all(p.normalized() is p for p in xe.terms)  # translates share one key
+
+
+# ---------------------------------------------------------------------------
+# cone weights: Lawrence's formula on the chamber sweep against the
+# triangulation of the face lattice
+
+def _generators(arr):
+    """The simplices on every index set (A), the special simplices with and
+    without the origin (B), or the axis segments and the cube (C)."""
+    d = arr.d
+    if arr.kind == arrg.KIND_A:
+        return [simplex(arr, s) for k in range(1, d + 1) for s in itertools.combinations(range(1, d + 1), k)]
+    if arr.kind == arrg.KIND_B:
+        family = b_generators(d)
+        return [family.polytope(g) for g in family.members]
+    return [segment(arr, tuple(int(i == j) for j in range(d))) for i in range(d)] + [cube(d)]
+
+
+@pytest.mark.parametrize("arr", (braid(3), braid(4), type_b(2), type_b(3), coordinate(3)), ids=str)
+@_FEW
+@given(data=st.data())
+def test_cone_weights_equal_the_triangulation_oracle(arr, data):
+    """Over sums of generators, dilated by 1/2 or not, translated by a
+    rational vector and cut to a face or not."""
+    summands = data.draw(st.lists(st.sampled_from(_generators(arr)), min_size=1, max_size=3))
+    p = summands[0]
+    for q in summands[1:]:
+        p = p.minkowski(q)
+    if data.draw(st.booleans()):
+        p = p.dilate(Fraction(1, 2))
+    p = p.translate(data.draw(st.lists(_COEFFS, min_size=arr.d, max_size=arr.d)))
+    if data.draw(st.booleans()):
+        p = p.face_max(data.draw(st.sampled_from(arrg.faces(arr))))
+    want = volume_oracle.cone_weights(p)
+    assert polytope_cone_weights(p).terms == want
+    assert psi1(p).terms == {f: w for f, w in want.items() if f.dim == arr.d - 1}
