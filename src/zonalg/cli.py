@@ -333,15 +333,11 @@ def _cmd_decompose(args):
         data = json.load(fh)
     p = polyclass.polytope_from_json(data)
     t = args.type.upper()
-    # type: (arrangement, the polytopes it takes, solve, system, generator label)
-    kind, needs, decompose, system, label = {
-        "A": (arrg.KIND_A, "a braid-arrangement", spectra.a_decompose, spectra._a_system,
-              spectra.simplex_label),
-        "B": (arrg.KIND_B, "a type-B", spectra.b_decompose, spectra._b_system,
-              spectra.GeneratorFamilyB.label),
+    # type: (solve, which checks the arrangement, system, generator label)
+    decompose, system, label = {
+        "A": (spectra.a_decompose, spectra._a_system, spectra.simplex_label),
+        "B": (spectra.b_decompose, spectra._b_system, spectra.GeneratorFamilyB.label),
     }[t]
-    if p.arr.kind != kind:
-        raise ValueError(f"type {t} decomposition needs {needs} polytope")
     coeffs = decompose(p)
     rows = _labelled(coeffs, label)
     ok = spectra.reconstruction_holds(p, coeffs, system(p.arr.d)[-3])

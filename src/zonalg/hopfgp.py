@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import arrangement as arrg
 from . import polyclass
@@ -39,36 +40,28 @@ class LabeledGP:
     def relabel(self, bijection):
         """Transport along a label bijection (species functoriality)."""
         new_labels = tuple(sorted(bijection[l] for l in self.labels))
-        # position i (old sorted order) moves to the slot of bijection[labels[i]]
-        slot = {lab: k for k, lab in enumerate(new_labels)}
-        perm = [slot[bijection[l]] for l in self.labels]
-        verts = []
-        for v in self.poly.verts:
-            w = [None] * len(v)
-            for i, c in enumerate(v):
-                w[perm[i]] = c
-            verts.append(tuple(w))
-        return LabeledGP.make(
-            new_labels, VPolytope(arrg.braid(self.n), verts, assume_vertices=True)
-        )
+        # the new coordinate k is the old one whose label maps to new_labels[k]
+        idx = sorted(range(self.n), key=lambda i: bijection[self.labels[i]])
+        return LabeledGP.make(new_labels, _coordinates(self.poly._den, self.poly._ipts, idx))
+
+
+def _coordinates(den, points, idx):
+    """The polytope over the braid arrangement on len(idx) letters whose
+    vertices are the integer ``points`` / ``den`` read at the coordinates
+    ``idx``, in this order."""
+    return polyclass._polytope(arrg.braid(len(idx)), den, [tuple(v[i] for i in idx) for v in points])
 
 
 def gp_product(p, q):
     """Cartesian product over a disjoint union of labels."""
     if set(p.labels) & set(q.labels):
         raise ValueError("label sets must be disjoint")
-    labels = tuple(sorted(p.labels + q.labels))
-    pos = {lab: k for k, lab in enumerate(labels)}
-    verts = []
-    for v in p.poly.verts:
-        for w in q.poly.verts:
-            out = [Fraction(0)] * len(labels)
-            for lab, c in zip(p.labels, v):
-                out[pos[lab]] = c
-            for lab, c in zip(q.labels, w):
-                out[pos[lab]] = c
-            verts.append(tuple(out))
-    return LabeledGP.make(labels, VPolytope(arrg.braid(len(labels)), verts, assume_vertices=True))
+    labels = p.labels + q.labels
+    den = lcm(p.poly._den, q.poly._den)
+    ps = [tuple(den // p.poly._den * c for c in v) for v in p.poly._ipts]
+    qs = [tuple(den // q.poly._den * c for c in w) for w in q.poly._ipts]
+    idx = sorted(range(len(labels)), key=labels.__getitem__)
+    return LabeledGP.make(labels, _coordinates(den, [v + w for v in ps for w in qs], idx))
 
 
 def gp_coproduct(p, s_labels):
@@ -83,16 +76,8 @@ def gp_coproduct(p, s_labels):
     t_sorted = tuple(sorted(set(p.labels) - s_labels))
     s_idx = [p.labels.index(l) for l in s_sorted]
     t_idx = [p.labels.index(l) for l in t_sorted]
-    restr = VPolytope(
-        arrg.braid(len(s_sorted)),
-        [tuple(v[i] for i in s_idx) for v in q.verts],
-        assume_vertices=True,
-    )
-    contr = VPolytope(
-        arrg.braid(len(t_sorted)),
-        [tuple(v[i] for i in t_idx) for v in q.verts],
-        assume_vertices=True,
-    )
+    restr = _coordinates(q._den, q._ipts, s_idx)
+    contr = _coordinates(q._den, q._ipts, t_idx)
     return LabeledGP.make(s_sorted, restr), LabeledGP.make(t_sorted, contr)
 
 
@@ -102,7 +87,7 @@ def gp_coproduct(p, s_labels):
 def euler_map_polytope(p):
     """[p]^* = sum over faces q of p of (-1)^{dim q} [q]."""
     return PiElement(p.arr, {
-        VPolytope(p.arr, [p.verts[i] for i in fs], assume_vertices=True): (-1) ** dim
+        polyclass._polytope(p.arr, p._den, [p._ipts[i] for i in fs]): (-1) ** dim
         for fs, dim in p.lattice().items()
     })
 
@@ -300,9 +285,9 @@ def mc_coideal_check(n, seed=0):
         for _ in range(_COIDEAL_SAMPLES):
             gp = _sample_gps(n, rng)[-1]
             i = rng.randint(1, n)
-            vals = sorted({v[i - 1] for v in gp.poly.verts})
+            vals = sorted({v[i - 1] for v in gp.poly._ipts})
             if len(vals) >= 2:
-                c = (vals[0] + vals[-1]) / 2
+                c = Fraction(vals[0] + vals[-1], 2 * gp.poly._den)
                 cases.append((gp.poly, tuple(int(k == i) for k in range(1, n + 1)), c))
     for poly, normal, c in cases:
         pieces = polyclass.valuation_relation(poly, normal, c).terms.items()

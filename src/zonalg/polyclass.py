@@ -1,19 +1,22 @@
 """Exact V-representation calculus for deformations of the ambient zonotope,
 classes in the polytope algebra, and their faithful cone-weight coordinates.
 
-A polytope is stored by its vertex set (exact rationals).  Everything
-exploits the deformation property: the normal fan of a deformation coarsens
-the arrangement fan, so argmax queries at chamber interior points extract
+A polytope is stored by its vertex set, as sorted integer points over one
+denominator, on which every sum, dilate, translate and face is computed;
+``verts`` reads them as exact rationals.  Everything exploits the
+deformation property: the normal fan of a deformation coarsens the
+arrangement fan, so argmax queries at chamber interior points extract
 vertices, and argmax at interior points of an arbitrary arrangement face F
 yields the face of the polytope attached to F, independently of the chosen
 interior point.  A face sum acts on classes through ``PiElement.act``, the
-bilinear extension of this face map.  Points become a polytope only through
-``VPolytope``: one point maximizes at each chamber, these pass the
-wall-crossing test on the walls (the faces of dimension d-1), and every
-other point lies in their hull; every number that enters must be exact.  A
-Minkowski sum adds the summands' vertices at each chamber.  The edges are
-the vertex pairs at the two chambers beside a wall: ``slice_polytope`` cuts
-them there, and ``psi1`` reads their lengths there.
+bilinear extension of this face map.  Outside points become a polytope
+only through ``VPolytope``: one point maximizes at each chamber, these
+pass the wall-crossing test on the walls (the faces of dimension d-1), and
+every other point lies in their hull; every number that enters must be
+exact.  A Minkowski sum adds the summands' vertices at each chamber.  The
+edges are the vertex pairs at the two chambers beside a wall:
+``slice_polytope`` cuts them there, and ``psi1`` reads their lengths
+there.
 
 The linear coordinates of a class are its cone weights: the weight at an
 arrangement face F is the normalized volume of the polytope's face at F,
@@ -33,7 +36,7 @@ import operator
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from . import arrangement as arrg
 from . import linalg
@@ -45,7 +48,7 @@ class NotDeformationError(ValueError):
     """The given points are not the vertices of a deformation of the zonotope."""
 
 
-# (arr, vertices) -> the live polytope with these vertices
+# (arr, den, integer points) -> the live polytope with these vertices
 _INTERN = weakref.WeakValueDictionary()
 
 
@@ -57,15 +60,16 @@ def _chamber_vectors(arr):
 class VPolytope:
     """A polytope given by its exact vertex set, tagged by the arrangement.
 
-    Polytopes are interned: building one equal to a live polytope (same
-    arrangement, same vertex set) returns that object, so equality and
-    hashing are by identity.  ``_ipts`` are the vertices scaled by ``_den``
-    to integers.
+    ``_ipts`` are the distinct vertices, sorted, scaled to integers by the
+    least such ``_den``; ``verts`` gives them as ``Fraction`` tuples in the
+    same order.  Polytopes are interned: building one equal to a live
+    polytope (same arrangement, same vertex set) returns that object, so
+    equality and hashing are by identity.
     """
 
     __slots__ = (
-        "arr", "verts", "_den", "_ipts", "_dim", "_face_sets", "_face_cache",
-        "_lattice", "_weights", "_normal", "__weakref__",
+        "arr", "_den", "_ipts", "_dim", "_face_cache", "_lattice", "_weights",
+        "_normal", "__weakref__",
     )
 
     def __new__(cls, arr, points, assume_vertices=False):
@@ -74,33 +78,23 @@ class VPolytope:
             raise ValueError("a polytope needs at least one point")
         if len({len(p) for p in pts}) != 1 or len(pts[0]) != arr.d:
             raise ValueError("points must all live in the ambient dimension")
-        if assume_vertices:
-            verts = tuple(sorted(pts))
-        else:
-            verts = _deformation_vertices(arr, pts)
-        key = (arr, verts)
-        self = _INTERN.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self.arr = arr
-            self.verts = verts
-            self._den, self._ipts = _int_coords(verts)
-            self._dim = None
-            self._face_sets = {}
-            self._face_cache = {}
-            self._lattice = None
-            self._weights = None
-            self._normal = None
-            _INTERN[key] = self
-        return self
+        den, ipts = _int_coords(pts)
+        return _polytope(arr, den, ipts if assume_vertices else _deformation_vertices(arr, den, ipts))
+
+    @property
+    def verts(self):
+        """The vertices as ``Fraction`` tuples, in the order of ``_ipts``;
+        built on each read, never stored."""
+        den = self._den
+        return tuple(tuple(Fraction(c, den) for c in q) for q in self._ipts)
 
     def __repr__(self):
-        return f"VPolytope({self.arr.kind}{self.arr.d}, {len(self.verts)} vertices, dim {self.dim})"
+        return f"VPolytope({self.arr.kind}{self.arr.d}, {len(self._ipts)} vertices, dim {self.dim})"
 
     @property
     def dim(self):
         if self._dim is None:
-            self._dim = self._face_dim(frozenset(range(len(self.verts))))
+            self._dim = self._face_dim(frozenset(range(len(self._ipts))))
         return self._dim
 
     def _face_dim(self, fs):
@@ -115,10 +109,7 @@ class VPolytope:
     def face_set(self, face):
         """Vertex-index set of the face of this polytope attached to an
         arrangement face: the vertices maximizing its interior point."""
-        fs = self._face_sets.get(face)
-        if fs is None:
-            fs = self._face_sets[face] = frozenset(_argmax(self._ipts, arrg.interior_point(face)))
-        return fs
+        return frozenset(_argmax(self._ipts, arrg.interior_point(face)))
 
     def face_max(self, face):
         """The face of the polytope maximal in the directions of an
@@ -128,8 +119,7 @@ class VPolytope:
         q = self._face_cache.get(face)
         if q is None:
             fs = self.face_set(face)
-            q = VPolytope(self.arr, [self.verts[i] for i in fs], assume_vertices=True)
-            self._face_cache[face] = q
+            q = self._face_cache[face] = _polytope(self.arr, self._den, [self._ipts[i] for i in fs])
         return q
 
     def lattice(self):
@@ -164,20 +154,18 @@ class VPolytope:
         t = tuple(map(_rational, t))
         if len(t) != self.arr.d:
             raise ValueError(f"a translation needs {self.arr.d} coordinates, got {len(t)}")
-        return VPolytope(
-            self.arr,
-            [tuple(a + b for a, b in zip(v, t)) for v in self.verts],
-            assume_vertices=True,
-        )
+        den_t, (it,) = _int_coords([t])
+        return _sum(self.arr, self._den, den_t, [(q, it) for q in self._ipts])
 
     def normalized(self):
         """Translate the lexicographically least vertex to the origin."""
         if self._normal is None:
-            base = self.verts[0]
-            if all(c == 0 for c in base):
+            base = self._ipts[0]
+            if not any(base):
                 self._normal = self
             else:
-                self._normal = self.translate(tuple(-c for c in base))
+                shifted = [tuple(map(operator.sub, q, base)) for q in self._ipts]
+                self._normal = _polytope(self.arr, self._den, shifted)
         return self._normal
 
     def minkowski(self, other):
@@ -186,11 +174,8 @@ class VPolytope:
         # the vertex of a sum of deformations at a chamber is the sum of the
         # summands' vertices there, and each vertex maximizes at some chamber
         at = zip(_chamber_sweep(self.arr, self._ipts), _chamber_sweep(self.arr, other._ipts))
-        return VPolytope(
-            self.arr,
-            [tuple(map(operator.add, self.verts[i], other.verts[j])) for i, j in set(at)],
-            assume_vertices=True,
-        )
+        pairs = [(self._ipts[i], other._ipts[j]) for i, j in set(at)]
+        return _sum(self.arr, self._den, other._den, pairs)
 
     def dilate(self, lam):
         lam = _rational(lam)
@@ -198,20 +183,44 @@ class VPolytope:
             raise ValueError("dilation requires a nonnegative scalar")
         if lam == 0:
             return _point(self.arr)
-        return VPolytope(
-            self.arr,
-            [tuple(lam * c for c in v) for v in self.verts],
-            assume_vertices=True,
-        )
+        n = lam.numerator
+        return _polytope(self.arr, self._den * lam.denominator, [tuple(n * c for c in q) for q in self._ipts])
+
+
+def _polytope(arr, den, points):
+    """The polytope over ``arr`` whose vertices are the integer ``points``
+    divided by ``den`` > 0, in lowest terms: the only maker of a
+    ``VPolytope``, which it interns."""
+    ipts = sorted(set(points))
+    g = gcd(den, *itertools.chain.from_iterable(ipts)) if den > 1 else 1
+    if g > 1:
+        den //= g
+        ipts = [tuple(c // g for c in q) for q in ipts]
+    key = (arr, den, tuple(ipts))
+    self = _INTERN.get(key)
+    if self is None:
+        self = object.__new__(VPolytope)
+        self.arr, self._den, self._ipts = key
+        self._dim = None
+        self._face_cache = {}
+        self._lattice = None
+        self._weights = None
+        self._normal = None
+        _INTERN[key] = self
+    return self
+
+
+def _sum(arr, den_p, den_q, pairs):
+    """The polytope whose vertices are the sums p / den_p + q / den_q over
+    the integer pairs (p, q) of ``pairs``."""
+    den = lcm(den_p, den_q)
+    a, b = den // den_p, den // den_q
+    return _polytope(arr, den, [tuple(a * x + b * y for x, y in zip(p, q)) for p, q in pairs])
 
 
 def _dedup(points):
-    """The distinct points, in order, each a tuple of ``Fraction``s; a point
-    that already is one is kept as it is."""
-    return list(dict.fromkeys(
-        p if type(p) is tuple and all(type(c) is Fraction for c in p) else tuple(map(_rational, p))
-        for p in points
-    ))
+    """The distinct points, in order, each a tuple of ``Fraction``s."""
+    return list(dict.fromkeys(tuple(map(_rational, p)) for p in points))
 
 
 def _rational(c):
@@ -265,13 +274,12 @@ def _wall_table(arr):
     return tuple(out)
 
 
-def _deformation_vertices(arr, pts):
-    """The vertices of the hull of ``pts``, which must be a deformation of
-    the zonotope: one point maximizes at each chamber; these pass the wall-
-    crossing test (Postnikov-Reiner-Williams 2008; Ardila-Castillo-Eur-
-    Postnikov 2020); and every other point lies in their hull, or else it
-    would be a vertex that maximizes at no chamber."""
-    _, ipts = _int_coords(pts)
+def _deformation_vertices(arr, den, ipts):
+    """The vertices of the hull of the points ``ipts`` / ``den``, which must
+    be a deformation of the zonotope: one point maximizes at each chamber;
+    these pass the wall-crossing test (Postnikov-Reiner-Williams 2008;
+    Ardila-Castillo-Eur-Postnikov 2020); and every other point lies in their
+    hull, or else it would be a vertex that maximizes at no chamber."""
     at = _chamber_sweep(arr, ipts)
     for wall, plus, minus, normal, a in _wall_table(arr):
         if at[plus] != at[minus]:
@@ -280,22 +288,26 @@ def _deformation_vertices(arr, pts):
             if diff != [diff[a] * n for n in normal]:
                 raise NotDeformationError(f"the vertices across the wall {wall} differ off its normal")
     chosen = set(at)
-    rest = [i for i in range(len(pts)) if i not in chosen]
+    rest = [i for i in range(len(ipts)) if i not in chosen]
     for w in _outer_directions(arr) if rest else ():
         top, i = max((sum(map(operator.mul, w, ipts[r])), r) for r in rest)
         if all(sum(map(operator.mul, w, ipts[j])) < top for j in chosen):
-            raise NotDeformationError(f"point {[str(c) for c in pts[i]]} lies outside the hull of the vertices")
-    return tuple(sorted(pts[i] for i in chosen))
+            raise NotDeformationError(f"point {_point_str(den, ipts[i])} lies outside the hull of the vertices")
+    return [ipts[i] for i in chosen]
 
 
 def check_deformation(p):
     """The tests that ``VPolytope`` runs on raw points, for a polytope built
     with ``assume_vertices``, each of whose vertices must also maximize at
     some chamber."""
-    idle = sorted(set(p.verts) - set(_deformation_vertices(p.arr, p.verts)))
+    idle = sorted(set(p._ipts) - set(_deformation_vertices(p.arr, p._den, p._ipts)))
     if idle:
-        raise NotDeformationError(f"the vertex {[str(c) for c in idle[0]]} maximizes at no chamber")
+        raise NotDeformationError(f"the vertex {_point_str(p._den, idle[0])} maximizes at no chamber")
     return True
+
+
+def _point_str(den, q):
+    return [str(Fraction(c, den)) for c in q]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +438,7 @@ class PiElement(Combination):
 
 
 def _point(arr):
-    return VPolytope(arr, [(Fraction(0),) * arr.d], assume_vertices=True)
+    return _polytope(arr, 1, [(0,) * arr.d])
 
 
 def pi_equal(x, y):
@@ -499,27 +511,25 @@ def graded_component(x, r):
 # standard polytopes
 
 def permutahedron(d):
-    verts = [tuple(Fraction(v) for v in p) for p in itertools.permutations(range(1, d + 1))]
-    return VPolytope(arrg.braid(d), verts, assume_vertices=True)
+    return _polytope(arrg.braid(d), 1, itertools.permutations(range(1, d + 1)))
 
 
 def typeB_permutahedron(d):
     verts = []
     for p in itertools.permutations(range(1, d + 1)):
         for signs in itertools.product((1, -1), repeat=d):
-            verts.append(tuple(Fraction(v * s) for v, s in zip(p, signs)))
-    return VPolytope(arrg.type_b(d), verts, assume_vertices=True)
+            verts.append(tuple(map(operator.mul, p, signs)))
+    return _polytope(arrg.type_b(d), 1, verts)
 
 
 def cube(d):
-    verts = [tuple(Fraction(c) for c in v) for v in itertools.product((0, 1), repeat=d)]
-    return VPolytope(arrg.coordinate(d), verts, assume_vertices=True)
+    return _polytope(arrg.coordinate(d), 1, itertools.product((0, 1), repeat=d))
 
 
 def _unit(arr, e):
     """Signed standard basis point: e in [±d] gives ±e_{|e|}."""
-    v = [Fraction(0)] * arr.d
-    v[abs(e) - 1] = Fraction(1 if e > 0 else -1)
+    v = [0] * arr.d
+    v[abs(e) - 1] = 1 if e > 0 else -1
     return tuple(v)
 
 
@@ -533,7 +543,7 @@ def simplex(arr, indices):
     else:
         if not s or s & frozenset(-e for e in s):
             raise ValueError("simplex index set must be involution-exclusive")
-    return VPolytope(arr, [_unit(arr, e) for e in sorted(s)], assume_vertices=True)
+    return _polytope(arr, 1, [_unit(arr, e) for e in s])
 
 
 def simplex0(arr, indices):
@@ -541,12 +551,11 @@ def simplex0(arr, indices):
     s = frozenset(indices)
     if not s or s & frozenset(-e for e in s):
         raise ValueError("index set must be nonempty and involution-exclusive")
-    pts = [(Fraction(0),) * arr.d] + [_unit(arr, e) for e in sorted(s)]
-    return VPolytope(arr, pts, assume_vertices=True)
+    return _polytope(arr, 1, [(0,) * arr.d] + [_unit(arr, e) for e in s])
 
 
 def segment(arr, v):
-    return VPolytope(arr, [(Fraction(0),) * arr.d, v])
+    return VPolytope(arr, [(0,) * arr.d, v])
 
 
 def hyperplane_normals(arr):
@@ -584,19 +593,20 @@ def slice_polytope(p, normal, c):
     if len(normal) != arr.d:
         raise ValueError(f"a normal needs {arr.d} coordinates, got {len(normal)}")
     c = _rational(c)
-    vals = [sum(map(operator.mul, v, normal)) for v in p.verts]
+    verts = p.verts
+    vals = [sum(map(operator.mul, v, normal)) for v in verts]
     lo, hi = min(vals), max(vals)
     if not (lo < c < hi):
         raise ValueError(f"slice level {c} outside the open range ({lo}, {hi})")
-    lower = [v for v, x in zip(p.verts, vals) if x <= c]
-    upper = [v for v, x in zip(p.verts, vals) if x >= c]
-    section = [v for v, x in zip(p.verts, vals) if x == c]
+    lower = [v for v, x in zip(verts, vals) if x <= c]
+    upper = [v for v, x in zip(verts, vals) if x >= c]
+    section = [v for v, x in zip(verts, vals) if x == c]
     at = _chamber_sweep(arr, p._ipts)
     for _, plus, minus, _, _ in _wall_table(arr):
         i, j = at[plus], at[minus]
         if vals[i] < c < vals[j] or vals[j] < c < vals[i]:
             t = (c - vals[i]) / (vals[j] - vals[i])
-            cut = tuple(x + t * (y - x) for x, y in zip(p.verts[i], p.verts[j]))
+            cut = tuple(x + t * (y - x) for x, y in zip(verts[i], verts[j]))
             lower.append(cut)
             upper.append(cut)
             section.append(cut)

@@ -606,6 +606,22 @@ def test_decompose_names_the_wall_a_non_deformation_fails(tmp_path, capsys):
     assert "the vertices across the wall 13|2 differ off its normal" in err
 
 
+@pytest.mark.parametrize(
+    "kind, d, message",
+    [
+        ("B", 3, "type-B decompositions need a type-B deformation with d <= 4"),
+        ("A", 6, "type-A decompositions need a braid deformation with d <= 5"),
+    ],
+)
+def test_decompose_on_the_wrong_arrangement_exits_2_with_the_solver_message(tmp_path, capsys, kind, d, message):
+    from zonalg import polyclass
+
+    data = polyclass.polytope_to_json(polyclass.simplex(arrg.braid(d), {1, 2}))
+    code, out, err = _decompose_json(tmp_path, capsys, data, kind)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_flat_in_another_spelling_exits_2_with_the_printed_form(capsys):
     code, out, err = run_cli(capsys, "eta", "--type", "A", "--d", "3", "--flat", "{3,12}")
     assert code == 2 and out == ""

@@ -4,11 +4,14 @@ accepted and that print back as themselves, the covector Tits product, face
 order and support agree with their geometric oracles, the sparse
 combinations obey the laws of a rational vector space, and the products, the
 support map and the module action that the extension kernel builds obey the
-laws of the algebras, and the cone weights by Lawrence's formula equal the
-triangulation oracle."""
+laws of the algebras, the cone weights by Lawrence's formula equal the
+triangulation oracle, and sums, dilates, translates and faces keep the
+integer vertex store in lowest terms and equal their ``Fraction`` oracle."""
 
 import itertools
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +35,7 @@ from zonalg.spectra import b_generators
 from zonalg.titsalgebra import FlatsElement, TitsElement
 
 import volume_oracle
+from test_polyclass import _pairwise_minkowski
 
 _SETTINGS = settings(max_examples=150, deadline=None)
 _FEW = settings(max_examples=40, deadline=None)
@@ -487,3 +491,50 @@ def test_cone_weights_equal_the_triangulation_oracle(arr, data):
     want = volume_oracle.cone_weights(p)
     assert polytope_cone_weights(p).terms == want
     assert psi1(p).terms == {f: w for f, w in want.items() if f.dim == arr.d - 1}
+
+
+# ---------------------------------------------------------------------------
+# the vertex store: sorted integer points over one denominator, in lowest
+# terms, built straight by every operation
+
+def _lowest_terms(p):
+    """Whether ``_ipts`` are sorted and distinct and share no factor with
+    ``_den`` > 0."""
+    ipts = p._ipts
+    return list(ipts) == sorted(set(ipts)) and p._den > 0 and gcd(p._den, *itertools.chain(*ipts)) == 1
+
+
+@pytest.mark.parametrize("arr", (braid(3), type_b(3), coordinate(3)), ids=str)
+@_FEW
+@given(data=st.data())
+def test_operations_keep_the_store_in_lowest_terms_and_equal_the_fraction_oracle(arr, data):
+    """Chains of sums (with dilated summands), dilates by 1/2, 2 and 3/2,
+    rational translates, faces and normalization, each result against the
+    same map on the operands' ``Fraction`` vertices."""
+    gens = _generators(arr)
+    p = data.draw(st.sampled_from(gens))
+    steps = ("sum", "dilate", "translate", "face", "normalized")
+    for step in data.draw(st.lists(st.sampled_from(steps), min_size=1, max_size=4)):
+        verts = p.verts
+        if step == "sum":
+            lam = data.draw(st.sampled_from((1, Fraction(1, 2), Fraction(1, 3))))
+            q = data.draw(st.sampled_from(gens)).dilate(lam)
+            got, want = p.minkowski(q), _pairwise_minkowski(p, q).verts
+        elif step == "dilate":
+            lam = data.draw(st.sampled_from((Fraction(1, 2), Fraction(2), Fraction(3, 2))))
+            got, want = p.dilate(lam), [tuple(lam * c for c in v) for v in verts]
+            assert got.dilate(1 / lam) is p
+        elif step == "translate":
+            t = data.draw(st.lists(_COEFFS, min_size=arr.d, max_size=arr.d))
+            got, want = p.translate(t), [tuple(map(operator.add, v, t)) for v in verts]
+            assert got.translate([-c for c in t]) is p
+        elif step == "face":
+            face = data.draw(st.sampled_from(arrg.faces(arr)))
+            got, w = p.face_max(face), arrg.interior_point(face)
+            vals = [sum(map(operator.mul, v, w)) for v in verts]
+            want = [v for v, x in zip(verts, vals) if x == max(vals)]
+        else:
+            got, want = p.normalized(), [tuple(map(operator.sub, v, verts[0])) for v in verts]
+        assert _lowest_terms(got)
+        assert got.verts == tuple(sorted(set(want)))
+        p = got
