@@ -9,8 +9,8 @@ The package computes, entirely in rational arithmetic:
   bijection;
 * Eulerian polynomials and the classical and type-B generating-function
   identities relating them to cycle statistics;
-* polytope classes, their logarithms, dilation grading, the face-action
-  module structure, and faithful cone-weight coordinates;
+* polytope classes, their logarithms, the face-action module structure,
+  and faithful cone-weight coordinates;
 * eigenspace multiplicity tables by Möbius sums, permutation counts, and
   idempotent ranks, together with explicit eigenvector families;
 * the minimal signed-Minkowski generating family in type B;
@@ -36,8 +36,6 @@ from .permstat import (
     SignedPermutation,
     IncreasingForest,
     forest_of,
-    perm_of,
-    exc_prec,
     enumerate_group,
     stats,
     stats_signed,
@@ -47,8 +45,6 @@ from .polyclass import (
     PiElement,
     VPolytope,
     cube,
-    exp_class,
-    graded_component,
     log_class,
     permutahedron,
     pi_equal,
@@ -59,7 +55,6 @@ from .polyclass import (
     slice_polytope,
     typeB_permutahedron,
     valuation_relation,
-    zonotope_of,
 )
 from .spectra import (
     EtaTable,
@@ -85,7 +80,6 @@ from .titsalgebra import (
     gamma_element,
     gamma_family,
     is_characteristic,
-    is_noncritical,
     q_basis_element,
 )
 from .hopfgp import (

@@ -410,7 +410,6 @@ def chambers(arr):
     return faces_with_support(arr, top_flat(arr))
 
 
-@lru_cache(maxsize=None)
 def walls(arr):
     """The faces of dimension d - 1, each on one side of one hyperplane: one
     run of faces(), which is ordered by dimension first."""
@@ -675,14 +674,6 @@ def flat_str(flat):
             parts += [_block_str_b(b), _block_str_b(_neg(b))]
         return "{" + ",".join(parts) + "}"
     return "X_{" + ",".join(str(i) for i in sorted(zero) if i > 0) + "}"
-
-
-def face_terms_json(terms):
-    """A face-keyed combination as JSON rows, faces in the order of faces()."""
-    return [
-        {"face": face_str(f), "coeff": str(terms[f])}
-        for f in sorted(terms, key=_face_sort_key)
-    ]
 
 
 def _parse_block(token, arr):

@@ -391,6 +391,16 @@ def _emit(payload, fmt, csv_rows=None):
             print(",".join(f"\"{row[c]}\"" for c in cols))
 
 
+def _at_least_one(text):
+    """An integer flag of at least 1: b-gens runs one trial per d whatever
+    fewer trials are asked for, and a series order below 1 checks only the
+    constant terms, so a smaller value is an input error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="zonalg",
@@ -407,10 +417,10 @@ def build_parser():
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=sorted(_VERIFY))
     ver.add_argument("--d", type=int, help="largest size to check")
-    ver.add_argument("--type", help="A | B | all (brenti)")
-    ver.add_argument("--order", type=int, default=8, help="series truncation order (type A)")
-    ver.add_argument("--order-b", dest="order_b", type=int, default=6, help="series order (type B)")
-    ver.add_argument("--trials", type=int, default=10)
+    ver.add_argument("--type", type=str.upper, choices=("A", "B", "ALL"), help="A | B | all (brenti)")
+    ver.add_argument("--order", type=_at_least_one, default=8, help="series truncation order (type A)")
+    ver.add_argument("--order-b", dest="order_b", type=_at_least_one, default=6, help="series order (type B)")
+    ver.add_argument("--trials", type=_at_least_one, default=10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--quick", action="store_true", help="CI bounds for 'all'")
 

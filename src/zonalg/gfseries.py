@@ -384,30 +384,43 @@ def _bivariate_B(d, t):
     return _tally_poly(_signed_stats(d), t)
 
 
-def h_of_type(flat_type):
-    """B_k(z) * prod_i A_{s_i}(z) for a flat of type (k, (s_1, s_2, ...)),
-    as ``arrangement.flat_type`` gives it: the h-polynomial of the zonotope
-    face at the flat (B_0 = 1, so a type-A flat takes the plain product)."""
-    zero, sizes = flat_type
+def h_of_flat(flat):
+    """h-polynomial of the zonotope face at a flat, by the product formulas:
+    B_k(z) * prod_i A_{s_i}(z) at a flat of type (k, (s_1, s_2, ...)), as
+    ``arrangement.flat_type`` gives it (B_0 = 1, so a type-A flat takes the
+    plain product), and (1+z)^(d - dim X) for the coordinate arrangement,
+    whose faces are cubes."""
+    if flat.arr.kind == arrg.KIND_C:
+        return RatPoly.of(1, 1) ** (flat.arr.d - flat.dim)
+    zero, sizes = arrg.flat_type(flat)
     return math.prod(map(eulerian_A, sizes), start=eulerian_B(zero))
 
 
-def _partition_mobius_sum(arr):
-    """sum over the flats X of a braid or type-B arrangement of
-    mu(bot, X) * h_of_type(type of X).
+def mobius_h_sums(xs):
+    """X -> the sum over the flats Y >= X of mu(X, Y) * h_of_flat(Y), for
+    each flat X of ``xs``.
 
     Every flat contributes its own Möbius value; the integer weights are
-    added up per flat type, and the product is evaluated once per type.
+    added up per flat type (per d - dim Y for the coordinate arrangement,
+    which is all that h reads there), and each h-polynomial is taken once
+    per type in one call.
     """
-    bot = arrg.bottom_flat(arr)
-    weights = Counter()
-    for x in arrg.flats(arr):
-        weights[arrg.flat_type(x)] += arrg.mobius(bot, x)
-    acc = _P_ZERO
-    for key, w in weights.items():
-        if w:
-            acc = acc + h_of_type(key).scale(w)
-    return acc
+    h = {}
+    out = {}
+    for x in xs:
+        cube = x.arr.kind == arrg.KIND_C
+        weights = Counter()
+        for y in arrg.flats_geq(x):
+            key = x.arr.d - y.dim if cube else arrg.flat_type(y)
+            weights[key] += arrg.mobius(x, y)
+            if key not in h:
+                h[key] = h_of_flat(y)
+        acc = _P_ZERO
+        for key, w in weights.items():
+            if w:
+                acc = acc + h[key].scale(w)
+        out[x] = acc
+    return out
 
 
 def _first_mismatch(rows):
@@ -486,7 +499,8 @@ def _central_rows(arrangement, count, series, convention, order):
     then the coefficient of x^d in ``series``, each against ``count(d)``."""
     for d in range(1, order + 1):
         want = count(d)
-        yield {"d": d}, _partition_mobius_sum(arrangement(d)), want
+        bottom = arrg.bottom_flat(arrangement(d))
+        yield {"d": d}, mobius_h_sums([bottom])[bottom], want
         yield {"d": d}, series.coeff(d, convention), want
 
 

@@ -37,13 +37,6 @@ class LabeledGP:
     def n(self):
         return len(self.labels)
 
-    def relabel(self, bijection):
-        """Transport along a label bijection (species functoriality)."""
-        new_labels = tuple(sorted(bijection[l] for l in self.labels))
-        # the new coordinate k is the old one whose label maps to new_labels[k]
-        idx = sorted(range(self.n), key=lambda i: bijection[self.labels[i]])
-        return LabeledGP.make(new_labels, _coordinates(self.poly._den, self.poly._ipts, idx))
-
 
 def _coordinates(den, points, idx):
     """The polytope over the braid arrangement on len(idx) letters whose

@@ -1,6 +1,5 @@
-"""Exact linear algebra over the rationals and over integer lattices, and
-the sparse rational combinations that every algebra of the package is built
-on.
+"""Exact linear algebra over the rationals, and the sparse rational
+combinations that every algebra of the package is built on.
 
 Matrices are sequences of rows of ``int`` or ``fractions.Fraction``.
 Elimination clears denominators and works on integer rows; ``Fraction``s
@@ -17,7 +16,6 @@ coefficients to integers, adds integers per key and divides once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -293,37 +291,3 @@ class IncrementalRank:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def det(rows):
-    """Determinant of a square integer matrix (Bareiss elimination, every
-    division exact)."""
-    mat = [list(row) for row in rows]
-    n = len(mat)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not mat[k][k]:
-            pivot = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        pk = mat[k]
-        for row in mat[k + 1:]:
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk[k] - row[k] * pk[j]) // prev
-        prev = pk[k]
-    return sign * mat[-1][-1] if n else 1
-
-
-def lattice_index(rows):
-    """gcd of the maximal minors of an integer matrix with r rows: the index
-    of the lattice the rows span in (their rational span) ∩ Z^d when they are
-    independent, else 0.  This is the normalized volume of the
-    parallelepiped on the rows, r! times that of the simplex they span."""
-    if not rows:
-        return 1
-    return gcd(*(
-        det([[row[c] for c in cols] for row in rows])
-        for cols in combinations(range(len(rows[0])), len(rows))
-    ))

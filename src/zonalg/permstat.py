@@ -154,27 +154,6 @@ def stats_signed(sigma):
 
 
 # ---------------------------------------------------------------------------
-# the order used for type-B cycle excedances: negatives by increasing
-# absolute value, then positives increasing
-
-def _prec_key(e):
-    return (0, -e) if e < 0 else (1, e)
-
-
-def exc_prec(cycle):
-    """Number of excedances of a cyclic permutation of an involution-exclusive
-    set, with respect to the order: -1 < -2 < ... < 0 < ... < 1 < 2 ..."""
-    s = frozenset(cycle)
-    if s & frozenset(-e for e in s):
-        raise ValueError("cycle support must be involution-exclusive")
-    count = 0
-    for a, b in zip(cycle, cycle[1:] + tuple(cycle[:1])):
-        if _prec_key(b) > _prec_key(a):
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 # increasing forests
 
 @dataclass(frozen=True)
@@ -192,13 +171,6 @@ class Tree:
         if not self.children:
             return 0
         return sum(max(c.leaves(), 1) for c in self.children)
-
-    def postorder(self):
-        out = []
-        for c in self.children:
-            out.extend(c.postorder())
-        out.append(self.root)
-        return out
 
 
 @dataclass(frozen=True)
@@ -271,13 +243,6 @@ def forest_of(sigma):
         trees.append(Tree(m, _parse_postorder(word[:-1])))
     trees.sort(key=lambda t: t.root)
     return IncreasingForest(tuple(trees))
-
-
-def perm_of(forest):
-    """Inverse of ``forest_of``: read each tree in postorder as one cycle."""
-    d = forest.d
-    cycles = [tuple(t.postorder()) for t in forest.trees]
-    return Permutation.from_cycles(d, cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -296,16 +296,6 @@ def _deformation_vertices(arr, den, ipts):
     return [ipts[i] for i in chosen]
 
 
-def check_deformation(p):
-    """The tests that ``VPolytope`` runs on raw points, for a polytope built
-    with ``assume_vertices``, each of whose vertices must also maximize at
-    some chamber."""
-    idle = sorted(set(p._ipts) - set(_deformation_vertices(p.arr, p._den, p._ipts)))
-    if idle:
-        raise NotDeformationError(f"the vertex {_point_str(p._den, idle[0])} maximizes at no chamber")
-    return True
-
-
 def _point_str(den, q):
     return [str(Fraction(c, den)) for c in q]
 
@@ -320,9 +310,6 @@ class ConeWeights(Combination):
 
     def to_vector(self, face_order):
         return [self.terms.get(f, _ZERO) for f in face_order]
-
-    def to_json(self):
-        return arrg.face_terms_json(self.terms)
 
 
 @lru_cache(maxsize=None)
@@ -413,18 +400,8 @@ class PiElement(Combination):
         self._check(other)
         return PiElement.bilinear(self.arr, self.terms, other.terms, VPolytope.minkowski)
 
-    def power(self, n):
-        acc = PiElement.one(self.arr)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def dilate(self, lam):
         return PiElement(self.arr, {p.dilate(lam): c for p, c in self.terms.items()})
-
-    def degree0(self):
-        """Coefficient of the point class in the degree decomposition."""
-        return sum(self.terms.values(), _ZERO)
 
     def act(self, element):
         """Module action of a face sum: the bilinear extension of [p] H_F = [p_F]."""
@@ -447,7 +424,7 @@ def pi_equal(x, y):
 
 
 # ---------------------------------------------------------------------------
-# log, exp, grading
+# logarithm
 
 def log_class(p):
     """The logarithm of a polytope class, as a finite combination of dilates.
@@ -471,40 +448,6 @@ def log_class(p):
             continue
         out = out + PiElement.of(p.dilate(j), c)
     return out
-
-
-def exp_class(x):
-    """Inverse of the logarithm on classes with zero degree-0 part."""
-    if x.degree0() != 0:
-        raise ValueError("exp requires zero degree-0 part")
-    acc = PiElement.one(x.arr)
-    term = PiElement.one(x.arr)
-    for r in range(1, x.arr.d + 1):
-        term = term * x
-        acc = acc + term.scale(Fraction(1, factorial(r)))
-    return acc
-
-
-def graded_component(x, r):
-    """The weight-r part of a class: exact interpolation across dilates.
-
-    Dilation by lambda scales the weight-r part by lambda^r, so evaluating
-    at d+1 integer dilation factors and solving the Vandermonde system
-    isolates each graded piece.
-    """
-    d = x.arr.d
-    if r < 0 or r > d:
-        return PiElement.zero(x.arr)
-    lams = list(range(1, d + 2))
-    rows = [[Fraction(lam) ** k for k in range(d + 1)] for lam in lams]
-    rhs = [Fraction(1) if i == r else Fraction(0) for i in range(d + 1)]
-    # weights w with sum_lam w_lam lam^k = [k == r]
-    weights = linalg.solve_unique([list(col) for col in zip(*rows)], rhs)
-    acc = PiElement.zero(x.arr)
-    for w, lam in zip(weights, lams):
-        if w:
-            acc = acc + x.dilate(lam).scale(w)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +508,6 @@ def hyperplane_normals(arr):
         tuple((a == i) - (a == -i) - (b == i) + (b == -i) for i in range(1, arr.d + 1))
         for a, b in arrg.hyperplanes(arr)
     ]
-
-
-def zonotope_of(arr):
-    """The Minkowski sum of the segments Conv{0, v_H} over all hyperplanes."""
-    acc = _point(arr)
-    for v in hyperplane_normals(arr):
-        acc = acc.minkowski(segment(arr, v))
-    return acc
 
 
 # ---------------------------------------------------------------------------

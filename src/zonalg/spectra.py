@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import arrangement as arrg
 from . import linalg, permstat, polyclass, titsalgebra
-from .gfseries import RatPoly, eulerian_A, h_of_type
+from .gfseries import eulerian_A, mobius_h_sums
 from .polyclass import PiElement, log_class
 
 # the largest d at which eta tables are computed as idempotent ranks
@@ -69,23 +69,10 @@ class EtaTable:
 # ---------------------------------------------------------------------------
 # route 1: Möbius sums of h-polynomials
 
-def _flat_h_product(flat):
-    """h-polynomial of the zonotope face at a flat, by the product formulas."""
-    if flat.arr.kind == arrg.KIND_C:
-        return RatPoly.of(1, 1) ** (flat.arr.d - flat.dim)
-    return h_of_type(arrg.flat_type(flat))
-
-
 def eta_mobius(arr):
     """The full eta table via Möbius sums of face h-polynomials."""
-    flats = arrg.flats(arr)
-    hs = {y: _flat_h_product(y) for y in flats}
     out = {}
-    for x in flats:
-        poly = RatPoly.of(0)
-        for y in flats:
-            if arrg.flat_leq(x, y):
-                poly = poly + hs[y] * Fraction(arrg.mobius(x, y))
+    for x, poly in mobius_h_sums(arrg.flats(arr)).items():
         for r, c in enumerate(poly.coeffs):
             if c:
                 if c.denominator != 1 or c < 0:
@@ -133,7 +120,6 @@ def _leaf_path_product(sigma):
     return prod
 
 
-@lru_cache(maxsize=None)
 def _spanning_sets_braid(d):
     """Spanning sets of each graded piece for the braid arrangement.
 

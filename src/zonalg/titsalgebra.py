@@ -37,9 +37,6 @@ class TitsElement(Combination):
         """Apply the support map coefficientwise; lands in the flats algebra."""
         return FlatsElement.linear(self.arr, self.terms.items(), lambda f: {arrg.support(f): 1})
 
-    def to_json(self):
-        return arrg.face_terms_json(self.terms)
-
 
 class FlatsElement(Combination):
     """A sparse rational combination of flats (H basis of the flats algebra)."""
@@ -80,17 +77,6 @@ def is_characteristic(w, t):
     """True iff the character at every flat X equals t^{dim X}."""
     t = Fraction(t)
     return all(char_on_simple(w, x) == t ** x.dim for x in arrg.flats(w.arr))
-
-
-def characteristic_poly_value(arr, flat, t):
-    coeffs = arrg.characteristic_polynomial(arr, flat)
-    t = Fraction(t)
-    return sum(c * t ** i for i, c in enumerate(coeffs))
-
-
-def is_noncritical(arr, t):
-    """True iff t is not a root of chi(A^X, .) for any flat X."""
-    return all(characteristic_poly_value(arr, x, t) != 0 for x in arrg.flats(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,16 @@ def _check_h_polynomials_geometric(arr):
     the ambient zonotope there, computed from its vertices."""
     from zonalg import arrangement as arrg
     from zonalg import polyclass
-    from zonalg.spectra import _flat_h_product
+    from zonalg.gfseries import h_of_flat
 
     zonotope = {"A": polyclass.permutahedron, "B": polyclass.typeB_permutahedron}
     z = zonotope.get(arr.kind, polyclass.cube)(arr.d)
     shapes = {}
     for x in arrg.flats(arr):
-        shapes.setdefault(tuple(_flat_h_product(x).coeffs), x)
+        shapes.setdefault(tuple(h_of_flat(x).coeffs), x)
     for x in shapes.values():
         face = arrg.faces_with_support(arr, x)[0]
-        assert z.face_max(face).h_polynomial() == _flat_h_product(x), arrg.flat_str(x)
+        assert z.face_max(face).h_polynomial() == h_of_flat(x), arrg.flat_str(x)
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ from zonalg.polyclass import (
     valuation_relation,
 )
 
+from helpers import perm_of
+
 
 def _support_dims(weights):
     return sorted({f.dim for f in weights.terms})
@@ -246,7 +248,7 @@ def test_criterion_12_cross_oracles():
     for d in range(1, 7):
         for p in permstat.symmetric_group(d):
             forest = permstat.forest_of(p)
-            if permstat.perm_of(forest) != p:
+            if perm_of(forest) != p:
                 ok = False
             if forest.leaves() != p.exc():
                 ok = False

@@ -240,6 +240,37 @@ def test_verify_d_below_smallest_size_exits_2(capsys, suite):
         assert "--d" in err
 
 
+@pytest.mark.parametrize(
+    "flag, argvs",
+    [
+        ("--type", [("brenti", "--type", "C"), ("brenti", "--type", "X", "--d", "2")]),
+        ("--trials", [("b-gens", "--d", "2", "--trials", "0"), ("b-gens", "--d", "2", "--trials", "-4")]),
+        ("--order", [("gf", "--order", "0"), ("gf", "--order", "-1")]),
+        ("--order-b", [("gf", "--order-b", "0"), ("gf", "--order-b", "-2")]),
+    ],
+)
+def test_verify_value_that_checks_nothing_exits_2(capsys, flag, argvs):
+    # each of these ran no check, or one other than asked for, and passed
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        out, err = capsys.readouterr()
+        value = argv[argv.index(flag) + 1]
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"zonalg verify: error: argument {flag}: " + (
+            f"invalid choice: '{value}' (choose from 'A', 'B', 'ALL')" if flag == "--type"
+            else f"must be at least 1, got {value}"
+        )
+
+
+def test_verify_brenti_type_in_any_case(capsys):
+    for name, cases in (("a", {"A d=2"}), ("b", {"B d=2"}), ("ALL", {"A d=2", "B d=2"})):
+        code, out, _ = run_cli(capsys, "verify", "brenti", "--type", name, "--d", "2")
+        assert code == 0
+        assert {r["case"] for r in json.loads(out)["results"]} == cases
+
+
 def test_verify_cube_d_1_checks_d_1(capsys):
     code, out, _ = run_cli(capsys, "verify", "cube", "--d", "1")
     assert code == 0

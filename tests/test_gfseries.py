@@ -127,10 +127,11 @@ def test_verify_identities_quick():
 
 def test_cyclic_excedance_d3_value():
     # both sides of the cyclic identity at d=3 equal z + z^2
-    from zonalg.gfseries import _cyclic_excedance_poly, _partition_mobius_sum
+    from zonalg.gfseries import _cyclic_excedance_poly, mobius_h_sums
 
+    bot = arrg.bottom_flat(arrg.braid(3))
     assert _cyclic_excedance_poly(3) == RatPoly.of(0, 1, 1)
-    assert _partition_mobius_sum(arrg.braid(3)) == RatPoly.of(0, 1, 1)
+    assert mobius_h_sums([bot])[bot] == RatPoly.of(0, 1, 1)
 
 
 def _poly(by_exc):
@@ -171,7 +172,8 @@ def test_grouped_mobius_sum_A5_matches_per_flat_sum():
             term = term * eulerian_A(len(block))
         return term
 
-    assert gfseries._partition_mobius_sum(arrg.braid(5)) == _per_flat_mobius_sum(arrg.braid(5), factor)
+    bot = arrg.bottom_flat(arrg.braid(5))
+    assert gfseries.mobius_h_sums([bot])[bot] == _per_flat_mobius_sum(arrg.braid(5), factor)
 
 
 def test_grouped_mobius_sum_B4_matches_per_flat_sum():
@@ -183,7 +185,8 @@ def test_grouped_mobius_sum_B4_matches_per_flat_sum():
             term = term * eulerian_A(len(b))
         return term
 
-    assert gfseries._partition_mobius_sum(arrg.type_b(4)) == _per_flat_mobius_sum(arrg.type_b(4), factor)
+    bot = arrg.bottom_flat(arrg.type_b(4))
+    assert gfseries.mobius_h_sums([bot])[bot] == _per_flat_mobius_sum(arrg.type_b(4), factor)
 
 
 def test_corrupted_perm_stats_fails_bivariate_A(monkeypatch):
@@ -250,11 +253,11 @@ def _corrupt_cyclic_A(mp):
 
 
 def _corrupt_cyclic_B(mp):
-    real = gfseries._partition_mobius_sum
+    real = gfseries.mobius_h_sums
     mp.setattr(
         gfseries,
-        "_partition_mobius_sum",
-        lambda arr: real(arr) + RatPoly.z() if arr == arrg.type_b(2) else real(arr),
+        "mobius_h_sums",
+        lambda xs: {x: s + RatPoly.z() if x.arr == arrg.type_b(2) else s for x, s in real(xs).items()},
     )
 
 

@@ -1,6 +1,6 @@
-"""Integer elimination and the gcd-of-minors lattice volume against
-independent oracles: Gauss-Jordan elimination over ``Fraction``s, the
-Leibniz determinant, and a count of lattice points."""
+"""Integer elimination, and the gcd-of-minors lattice volume of the volume
+oracle, against independent oracles: Gauss-Jordan elimination over
+``Fraction``s, the Leibniz determinant, and a count of lattice points."""
 
 import itertools
 import math
@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonalg import linalg
+
+from volume_oracle import det, lattice_index
 
 _SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -207,7 +209,7 @@ def _leibniz(rows):
 ))
 @_SETTINGS
 def test_det_matches_leibniz(rows):
-    assert linalg.det(rows) == _leibniz(rows)
+    assert det(rows) == _leibniz(rows)
 
 
 def _parallelepiped_points(rows):
@@ -247,13 +249,13 @@ def _parallelepiped_points(rows):
 @settings(max_examples=100, deadline=None)
 def test_lattice_index_counts_parallelepiped_points(rows):
     if _rank_oracle(rows, len(rows[0])) < len(rows):
-        assert linalg.lattice_index(rows) == 0
+        assert lattice_index(rows) == 0
     else:
-        assert linalg.lattice_index(rows) == _parallelepiped_points(rows)
+        assert lattice_index(rows) == _parallelepiped_points(rows)
 
 
 def test_lattice_index_examples():
-    assert linalg.lattice_index([]) == 1
-    assert linalg.lattice_index([[2, 2]]) == 2
-    assert linalg.lattice_index([[1, -1, 0], [0, 1, -1]]) == 1
-    assert linalg.lattice_index([[2, 0], [0, 3]]) == 6
+    assert lattice_index([]) == 1
+    assert lattice_index([[2, 2]]) == 2
+    assert lattice_index([[1, -1, 0], [0, 1, -1]]) == 1
+    assert lattice_index([[2, 0], [0, 3]]) == 6

@@ -13,10 +13,8 @@ from zonalg.permstat import (
     IncreasingForest,
     Tree,
     enumerate_group,
-    exc_prec,
     forest_of,
     hyperoctahedral_group,
-    perm_of,
     stats,
     stats_signed,
     supp_exc_tally,
@@ -24,6 +22,8 @@ from zonalg.permstat import (
     _cycles_exc,
     _supp_dim_exc_b,
 )
+
+from helpers import exc_prec, perm_of
 
 
 def parse_signed_cycles(d, text):

@@ -14,9 +14,10 @@ from zonalg.titsalgebra import (
     gamma_element,
     gamma_family,
     is_characteristic,
-    is_noncritical,
     q_basis_element,
 )
+
+from helpers import is_noncritical
 
 ARRANGEMENTS = [braid(3), braid(4), type_b(2), type_b(3), coordinate(3)]
 
@@ -168,23 +169,6 @@ def test_support_image_of_families():
         fam = adams_family(d)
         for x, e in fam.elements.items():
             assert e.support_image() == q_basis_element(x)
-
-
-def _tits_element_from_json(arr, data):
-    """Inverse of ``TitsElement.to_json``."""
-    out = {}
-    for item in data:
-        f = arrg.parse_face(arr, item["face"])
-        out[f] = out.get(f, Fraction(0)) + Fraction(item["coeff"])
-    return TitsElement(arr, out)
-
-
-def test_tits_element_json_round_trip():
-    arr = braid(3)
-    w = adams_element(3, Fraction(1, 2))
-    data = w.to_json()
-    back = _tits_element_from_json(arr, data)
-    assert (w - back).is_zero()
 
 
 def _product_oracle(x, y):

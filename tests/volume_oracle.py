@@ -10,10 +10,44 @@ integer points adds the gcd of the maximal minors of its edge matrix.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 
 from zonalg import arrangement as arrg
-from zonalg import linalg
+
+
+def det(rows):
+    """Determinant of a square integer matrix (Bareiss elimination, every
+    division exact)."""
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            pivot = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        pk = mat[k]
+        for row in mat[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk[k] - row[k] * pk[j]) // prev
+        prev = pk[k]
+    return sign * mat[-1][-1] if n else 1
+
+
+def lattice_index(rows):
+    """gcd of the maximal minors of an integer matrix with r rows: the index
+    of the lattice the rows span in (their rational span) ∩ Z^d when they are
+    independent, else 0.  This is the normalized volume of the
+    parallelepiped on the rows, r! times that of the simplex they span."""
+    if not rows:
+        return 1
+    return gcd(*(
+        det([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(len(rows[0])), len(rows))
+    ))
 
 
 def _facets(lat):
@@ -34,7 +68,7 @@ def _volume(p, lat, facets, fs):
     total = 0
     for s in simplices:
         base, *rest = (p._ipts[i] for i in s)  # the vertices scaled by p._den
-        total += linalg.lattice_index([[a - b for a, b in zip(q, base)] for q in rest])
+        total += lattice_index([[a - b for a, b in zip(q, base)] for q in rest])
     return Fraction(total, factorial(r) * p._den ** r)
 
 
